@@ -7,11 +7,9 @@
 //	benchjson -count 3 -note "after power-matrix cache"
 //	benchjson -bench FieldEpochLarge -benchtime 1x -timeout 30m -o BENCH_PR6.json
 //
-// With -compare, the fresh results are checked against a previous
-// snapshot and the process exits nonzero when any benchmark's best ns/op
-// regressed by more than -tolerance (default 20%) — the CI bench-guard:
-//
-//	benchjson -bench DistEpoch -pkgs ./internal/dist/ -count 3 -compare BENCH_PR8.json
+// A snapshot records one host's numbers. Compare revisions by running
+// both on the same host (bench/run.sh), never against a file recorded
+// elsewhere.
 package main
 
 import (
@@ -65,19 +63,8 @@ func main() {
 		timeout   = flag.String("timeout", "", "overall go test -timeout (default: go's own)")
 		out       = flag.String("o", "", "output file (default stdout)")
 		note      = flag.String("note", "", "free-form note stored in the snapshot")
-		compare   = flag.String("compare", "", "baseline snapshot to compare against; exit nonzero on ns/op regressions beyond -tolerance")
-		tolerance = flag.Float64("tolerance", 0.20, "allowed fractional ns/op regression in -compare mode (0.20 = +20%)")
 	)
 	flag.Parse()
-
-	// Load the baseline before spending minutes on benchmarks.
-	var baseline *Snapshot
-	if *compare != "" {
-		var err error
-		if baseline, err = loadSnapshot(*compare); err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	args := []string{
 		"test", "-run", "^$", "-bench", *bench, "-benchmem",
@@ -151,14 +138,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s (%d results)", *out, len(snap.Results))
-	} else if baseline == nil {
+	} else {
 		os.Stdout.Write(enc)
-	}
-	if baseline != nil {
-		if regressed := compareSnapshots(baseline, &snap, *tolerance); len(regressed) > 0 {
-			log.Fatalf("%d benchmark(s) regressed beyond %.0f%% vs %s: %s",
-				len(regressed), *tolerance*100, *compare, strings.Join(regressed, ", "))
-		}
-		log.Printf("no ns/op regression beyond %.0f%% vs %s", *tolerance*100, *compare)
 	}
 }

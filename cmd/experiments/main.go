@@ -183,7 +183,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Println("Ablation: routing delta search (linear, per the paper, vs. binary)")
+			fmt.Println("Ablation: routing delta search (paper +1 ascent, bounded linear, binary)")
 			fmt.Println(exp.RenderDeltaSearch(rows))
 		case "m":
 			rows, err := exp.AblationM(opts, 25, []int{1, 2, 3, 4}, 1, 3)

@@ -36,9 +36,10 @@
 // transitions stream at /v1/alerts/events and POST to -webhook.
 // GET /v1/healthz reports uptime, queue pressure and pool occupancy.
 //
-// Shutdown: SIGINT/SIGTERM stops accepting requests, cancels running
-// jobs (each stops at its next epoch boundary, checkpoint already on
-// disk) and drains the pool under -drain; a second signal aborts.
+// Shutdown: SIGINT/SIGTERM stops accepting requests, ends attached SSE
+// streams, cancels running jobs (each stops at its next epoch boundary,
+// checkpoint already on disk) and drains the pool under -drain; a second
+// signal aborts.
 package main
 
 import (
@@ -46,7 +47,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -148,11 +148,7 @@ func main() {
 	defer engineStop()
 	go engine.Run(engineCtx)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := service.NewHTTPServer(*addr, api)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s (spool %s, %d workers)", *addr, *spool, *jobs)

@@ -107,6 +107,9 @@ func TestAblationDeltaSearch(t *testing.T) {
 		if r.LinearSolves < 1 || r.BinSolves < 1 {
 			t.Errorf("solve counts missing: %+v", r)
 		}
+		if r.LinearSolves > r.PaperSolves {
+			t.Errorf("bounded ascent slower than the paper's +1 ascent: %+v", r)
+		}
 	}
 	if !strings.Contains(RenderDeltaSearch(rows), "delta") {
 		t.Error("render malformed")

@@ -10,9 +10,9 @@ import (
 // capacity; only sensor nodes are capacity-limited).
 const Inf = math.MaxInt64 / 4
 
-// FlowNetwork is a directed flow network with integer capacities supporting
-// Dinic max-flow (the hot path) and Edmonds-Karp (retained as the
-// property-test oracle). Vertices are 0..N-1.
+// FlowNetwork is a directed flow network with integer capacities solved by
+// Dinic max-flow; the Edmonds-Karp oracle the property tests hold it to
+// lives in the package tests. Vertices are 0..N-1.
 //
 // Node capacities (the paper's per-sensor load bound delta) are expressed by
 // the standard node-splitting construction; see the routing package for how
@@ -156,8 +156,8 @@ func (f *FlowNetwork) EdgeEnds(id int) (int, int) {
 }
 
 // AugmentCount returns the total number of augmenting paths pushed by all
-// MaxFlow and MaxFlowEdmondsKarp invocations on this network; the routing
-// layer surfaces it as routing_augment_paths_total.
+// MaxFlow invocations on this network; the routing layer surfaces it as
+// routing_augment_paths_total.
 func (f *FlowNetwork) AugmentCount() int { return f.augments }
 
 func (f *FlowNetwork) check(u int) {
@@ -189,8 +189,8 @@ func (f *FlowNetwork) ensureScratch() {
 // augmenting (the warm-started delta search).
 //
 // The paper invokes Ford-Fulkerson; Dinic is the standard polynomial-time
-// refinement and is strictly faster than the Edmonds-Karp oracle kept in
-// MaxFlowEdmondsKarp on the cluster-sized networks involved.
+// refinement and is strictly faster than the Edmonds-Karp oracle of the
+// package tests on the cluster-sized networks involved.
 func (f *FlowNetwork) MaxFlow(s, t int) int64 {
 	f.check(s)
 	f.check(t)
@@ -264,80 +264,14 @@ func (f *FlowNetwork) augment(u, t int, limit int64) int64 {
 	return 0
 }
 
-// MaxFlowEdmondsKarp computes the maximum s-t flow with the Edmonds-Karp
-// algorithm (BFS augmenting paths) and returns its value. It is retained
-// as the independent oracle the property tests compare Dinic against; the
-// hot paths all use MaxFlow.
-func (f *FlowNetwork) MaxFlowEdmondsKarp(s, t int) int64 {
-	f.check(s)
-	f.check(t)
-	if s == t {
-		panic("graph: max-flow source equals sink")
-	}
-	var total int64
-	prevEdge := make([]int, f.n)
-	for {
-		// BFS on the residual graph.
-		for i := range prevEdge {
-			prevEdge[i] = -1
-		}
-		prevEdge[s] = -2
-		queue := []int{s}
-		for len(queue) > 0 && prevEdge[t] == -1 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, e := range f.first[u] {
-				v := f.head[e]
-				if prevEdge[v] == -1 && f.cap[e]-f.flow[e] > 0 {
-					prevEdge[v] = e
-					queue = append(queue, v)
-				}
-			}
-		}
-		if prevEdge[t] == -1 {
-			return total
-		}
-		// Find the bottleneck on the path.
-		bottleneck := int64(Inf)
-		for v := t; v != s; {
-			e := prevEdge[v]
-			if r := f.cap[e] - f.flow[e]; r < bottleneck {
-				bottleneck = r
-			}
-			v = f.head[e^1]
-		}
-		// Augment.
-		for v := t; v != s; {
-			e := prevEdge[v]
-			f.flow[e] += bottleneck
-			f.flow[e^1] -= bottleneck
-			v = f.head[e^1]
-		}
-		f.augments++
-		total += bottleneck
-	}
-}
-
-// MinCutReachable returns the set of vertices reachable from s in the
-// residual graph after MaxFlow has been run; the edges crossing out of the
-// set form a minimum cut. Used by tests to validate max-flow = min-cut.
-func (f *FlowNetwork) MinCutReachable(s int) []bool {
-	f.check(s)
-	seen := make([]bool, f.n)
-	seen[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range f.first[u] {
-			v := f.head[e]
-			if !seen[v] && f.cap[e]-f.flow[e] > 0 {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return seen
+// SourceSide reports whether v is reachable from the source in the
+// residual graph of the last MaxFlow call. That call ends with a failed
+// BFS whose levels it keeps, so after MaxFlow the source-side vertices
+// form a minimum cut, read here without allocating. Valid only after
+// MaxFlow and until the flow or capacities next change.
+func (f *FlowNetwork) SourceSide(v int) bool {
+	f.check(v)
+	return f.level[v] >= 0
 }
 
 // OutEdges returns the ids of the forward (even) edges leaving u, in
@@ -351,33 +285,4 @@ func (f *FlowNetwork) OutEdges(u int) []int {
 		}
 	}
 	return out
-}
-
-// CheckConservation verifies that at every vertex other than s and t the
-// net flow is zero, and that no edge exceeds its capacity. It returns an
-// error describing the first violation, or nil. Exposed for the property
-// tests on the routing layer.
-func (f *FlowNetwork) CheckConservation(s, t int) error {
-	net := make([]int64, f.n)
-	for e := 0; e < len(f.head); e += 2 {
-		fl := f.flow[e]
-		if fl < 0 {
-			return fmt.Errorf("edge %d has negative flow %d", e, fl)
-		}
-		if fl > f.cap[e] {
-			return fmt.Errorf("edge %d flow %d exceeds capacity %d", e, fl, f.cap[e])
-		}
-		u, v := f.EdgeEnds(e)
-		net[u] -= fl
-		net[v] += fl
-	}
-	for v := range net {
-		if v == s || v == t {
-			continue
-		}
-		if net[v] != 0 {
-			return fmt.Errorf("vertex %d violates conservation: net %d", v, net[v])
-		}
-	}
-	return nil
 }

@@ -180,6 +180,12 @@ func TestDinicMatchesEdmondsKarp(t *testing.T) {
 			continue // cut below Inf arcs is meaningless
 		}
 		reach := dn.MinCutReachable(s)
+		for v := range reach {
+			if dn.SourceSide(v) != reach[v] {
+				t.Fatalf("trial %d: SourceSide(%d) = %v, residual reachability %v",
+					trial, v, dn.SourceSide(v), reach[v])
+			}
+		}
 		var cut int64
 		for i := 0; i < dn.EdgeCount(); i++ {
 			u, v := dn.EdgeEnds(2 * i)

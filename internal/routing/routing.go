@@ -9,8 +9,12 @@
 // delta; wireless links get infinite capacity and a super-source feeds
 // each sensor its demand. The smallest delta whose max-flow satisfies all
 // demand is the optimal max load. The paper increments delta by one and
-// re-runs the flow ("we can start with a small delta ... then increment");
-// a binary-search variant is provided as an ablation.
+// re-runs the flow ("we can start with a small delta ... then increment").
+// This package runs the same ascent with two provably lossless shortcuts:
+// it starts at a layer-cut lower bound instead of the largest demand, and
+// each infeasible solve jumps delta by the step its min cut proves
+// necessary instead of by one. A binary-search variant is provided as an
+// ablation.
 package routing
 
 import (
@@ -23,8 +27,9 @@ import (
 type DeltaSearch int
 
 const (
-	// LinearSearch increments delta by one from the lower bound, the
-	// strategy described in the paper.
+	// LinearSearch ascends from the layer-cut lower bound, the strategy
+	// described in the paper, jumping by the min-cut step rather than
+	// by one.
 	LinearSearch DeltaSearch = iota
 	// BinarySearch bisects between the lower bound and total demand.
 	BinarySearch
@@ -51,11 +56,14 @@ type Plan struct {
 	// demand. Sensors with zero demand have no entry.
 	Paths map[int][]WeightedPath
 	// Solves counts the max-flow solver invocations used by the delta
-	// search, recorded for the linear-vs-binary ablation. Since the
-	// warm-started search most invocations continue augmenting an already
-	// partially solved network, so one "solve" is far cheaper than a cold
-	// max-flow; the count includes the final canonical solve that produces
-	// the decomposed flow (see EXPERIMENTS.md).
+	// search, recorded for the linear-vs-binary ablation. The search
+	// starts at the layer-cut lower bound and jumps by the min-cut step,
+	// and most invocations continue augmenting an already partially
+	// solved network, so one "solve" is far cheaper than a cold max-flow.
+	// The count includes the final canonical solve that produces the
+	// decomposed flow; a count of 1 means the first solve, at the bound,
+	// was feasible and was reused as that canonical solve (see
+	// EXPERIMENTS.md).
 	Solves int
 	// AugmentingPaths counts the augmenting paths the solver pushed across
 	// all invocations — warm probes plus the canonical decomposition solve.
@@ -103,36 +111,42 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 		return plan, nil
 	}
 
-	// The network is built once at the lower bound; the delta search only
-	// raises the node-capacity arcs. Raising capacities keeps the current
-	// flow feasible (capacities are monotone in delta), so every probe
-	// continues augmenting instead of re-solving from zero.
-	nw := buildNetwork(ws, g, head, demand, int64(maxDemand))
+	// The network is built once at the layer-cut lower bound; the delta
+	// search only raises the node-capacity arcs. Raising capacities keeps
+	// the current flow feasible (capacities are monotone in delta), so
+	// every probe continues augmenting instead of re-solving from zero.
+	delta := layerBound(levels, demand, maxDemand)
+	nw := buildNetwork(ws, g, head, demand, int64(delta))
 	solve := func() int64 {
 		plan.Solves++
 		return nw.fn.MaxFlow(nw.src, nw.sink)
 	}
 
-	delta := maxDemand
+	// The first solve runs from zero flow on exactly the network the
+	// canonical solve below would rebuild when delta stays at the bound.
+	flowVal := solve()
+	canonical := flowVal == int64(total)
 	switch search {
 	case LinearSearch:
 		// Warm delta-ascent, the paper's "start with a small delta ...
-		// then increment": each step raises the node caps by one and pushes
-		// only the remaining flow, so the whole ascent costs roughly one
-		// max-flow's total augmentation work.
-		flowVal := solve()
+		// then increment", with the increment taken from the min cut of
+		// the last solve instead of +1: every delta skipped is provably
+		// infeasible, so the ascent still stops at the optimum.
 		for flowVal < int64(total) {
-			delta++
-			if delta > total {
-				return nil, fmt.Errorf("routing: no feasible delta up to total demand %d", total)
+			next, err := nw.cutTarget(delta, flowVal, total)
+			if err != nil {
+				return nil, err
 			}
+			delta = next
 			nw.setDelta(int64(delta))
 			flowVal += solve()
 		}
 	case BinarySearch:
-		lo, hi := maxDemand, total
-		flowVal := solve()
 		if flowVal < int64(total) {
+			lo, err := nw.cutTarget(delta, flowVal, total)
+			if err != nil {
+				return nil, err
+			}
 			// Warm-start every probe from the flow at the largest delta
 			// known infeasible: that flow respects the (larger) probe
 			// capacities, so only the missing flow is augmented.
@@ -142,18 +156,19 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 			}
 			base := nw.fn.SaveFlow(snap)
 			baseVal := flowVal
-			lo++
-			for lo < hi {
+			for hi := total; lo < hi; {
 				mid := (lo + hi) / 2
 				nw.setDelta(int64(mid))
 				nw.fn.RestoreFlow(base)
 				pushed := solve()
 				if baseVal+pushed == int64(total) {
 					hi = mid
-				} else {
-					base = nw.fn.SaveFlow(base)
-					baseVal += pushed
-					lo = mid + 1
+					continue
+				}
+				base = nw.fn.SaveFlow(base)
+				baseVal += pushed
+				if lo, err = nw.cutTarget(mid, baseVal, total); err != nil {
+					return nil, err
 				}
 			}
 			delta = lo
@@ -170,11 +185,14 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 	// depends on the probe history; re-solving from zero makes the
 	// decomposed paths a pure function of (g, head, demand, delta) —
 	// identical across search strategies and identical to a cold solve at
-	// the optimum.
-	nw.setDelta(int64(delta))
-	nw.fn.Reset()
-	if solve() != int64(total) {
-		return nil, fmt.Errorf("routing: no feasible delta up to total demand %d", total)
+	// the optimum. When the first solve was already feasible it was that
+	// cold solve, so it is reused rather than repeated.
+	if !canonical {
+		nw.setDelta(int64(delta))
+		nw.fn.Reset()
+		if solve() != int64(total) {
+			return nil, fmt.Errorf("routing: no feasible delta up to total demand %d", total)
+		}
 	}
 	plan.Delta = delta
 	plan.AugmentingPaths = nw.fn.AugmentCount()
@@ -184,6 +202,58 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 	}
 	plan.Paths = paths
 	return plan, nil
+}
+
+// layerBound returns the layer-cut lower bound on the optimal delta.
+// Along an edge the BFS level from the head changes by at most one, so
+// every packet from a sensor at level >= L crosses the node arc of some
+// sensor at level exactly L. Those |V_L| arcs of capacity delta carry the
+// demand D(>=L), hence delta >= ceil(D(>=L) / |V_L|) for every L >= 1;
+// a sensor's own packets cross its own arc, hence delta >= maxDemand.
+func layerBound(levels, demand []int, maxDemand int) int {
+	depth := 0
+	for _, l := range levels {
+		if l > depth {
+			depth = l
+		}
+	}
+	nodes := make([]int, depth+1)
+	load := make([]int, depth+1)
+	for v, l := range levels {
+		if l > 0 {
+			nodes[l]++
+			load[l] += demand[v]
+		}
+	}
+	bound, below := maxDemand, 0
+	for l := depth; l >= 1; l-- {
+		below += load[l]
+		if b := (below + nodes[l] - 1) / nodes[l]; b > bound {
+			bound = b
+		}
+	}
+	return bound
+}
+
+// cutTarget returns the smallest delta still possible after a solve at
+// delta ended with flow value flow < total. The source side of the
+// residual graph is then a min cut of capacity flow. Link arcs are
+// uncapacitated, so the cut holds only source arcs, whose capacity is
+// fixed, and k node arcs in(v)->out(v) of capacity delta each; at any
+// delta' it has capacity flow + k*(delta'-delta). No delta' below
+// delta + ceil((total-flow)/k) can saturate every source, so the target
+// never passes the optimum.
+func (nw *network) cutTarget(delta int, flow int64, total int) (int, error) {
+	k := int64(0)
+	for v, id := range nw.nodeEdge {
+		if id >= 0 && nw.fn.SourceSide(2*v) && !nw.fn.SourceSide(2*v+1) {
+			k++
+		}
+	}
+	if k == 0 {
+		return 0, fmt.Errorf("routing: no feasible delta up to total demand %d", total)
+	}
+	return delta + int((int64(total)-flow+k-1)/k), nil
 }
 
 // network is the node-split flow network of Section III-A.

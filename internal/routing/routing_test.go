@@ -265,8 +265,10 @@ func TestZeroDemandPlan(t *testing.T) {
 }
 
 func TestBinarySearchUsesFewerSolves(t *testing.T) {
-	// On a line with many sensors the linear search walks delta from 1
-	// upward; binary should need far fewer max-flow solves.
+	// On a line every packet crosses sensor 1, so the layer-cut bound is
+	// already the optimum: the first solve at the bound is feasible and is
+	// itself the canonical solve, so linear search takes exactly one. The
+	// binary search starts at the same bound, so it can use no fewer.
 	n := 24
 	g := lineCluster(n)
 	lin, err := BalancedPaths(g, 0, unitDemand(n), LinearSearch)
@@ -277,8 +279,14 @@ func TestBinarySearchUsesFewerSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lin.Solves <= bin.Solves {
-		t.Fatalf("linear %d solves vs binary %d: expected binary to win on a line",
+	if lin.Delta != n || bin.Delta != n {
+		t.Fatalf("delta linear %d binary %d, want %d", lin.Delta, bin.Delta, n)
+	}
+	if lin.Solves != 1 {
+		t.Fatalf("linear took %d solves on a line, want 1 (bound is exact)", lin.Solves)
+	}
+	if lin.Solves > bin.Solves {
+		t.Fatalf("linear %d solves vs binary %d: binary cannot beat an exact bound",
 			lin.Solves, bin.Solves)
 	}
 }
@@ -469,5 +477,136 @@ func TestCycleRoutesNegativeCycle(t *testing.T) {
 	}
 	if len(plan.CycleRoutes(-3)) != 2 {
 		t.Fatal("negative cycle index should still produce routes")
+	}
+}
+
+// paperDelta is the paper's literal search: start at the largest single
+// demand, cold-solve a fresh network, and add one until every source
+// saturates.
+func paperDelta(t *testing.T, g *graph.Undirected, demand []int, total int) int {
+	t.Helper()
+	maxDemand := 0
+	for _, d := range demand {
+		maxDemand = max(maxDemand, d)
+	}
+	for delta := maxDemand; delta <= total; delta++ {
+		nw := buildNetwork(nil, g, 0, demand, int64(delta))
+		if nw.fn.MaxFlow(nw.src, nw.sink) == int64(total) {
+			return delta
+		}
+	}
+	t.Fatalf("no feasible delta up to total demand %d", total)
+	return 0
+}
+
+// coldPaths decomposes a cold solve at delta: the canonical plan paths.
+func coldPaths(t *testing.T, g *graph.Undirected, demand []int, delta int) map[int][]WeightedPath {
+	t.Helper()
+	nw := buildNetwork(nil, g, 0, demand, int64(delta))
+	nw.fn.MaxFlow(nw.src, nw.sink)
+	paths, err := nw.decompose(nil, demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// deltaSearchCases returns random clusters plus topo.DefaultConfig
+// deployments with head 0; sensors the head cannot reach get no demand.
+func deltaSearchCases(t *testing.T) (gs []*graph.Undirected, demands [][]int) {
+	rng := rand.New(rand.NewSource(977))
+	for trial := 0; trial < 150; trial++ {
+		g, demand := randomCluster(rng)
+		gs, demands = append(gs, g), append(demands, demand)
+	}
+	for _, n := range []int{10, 30, 45, 60, 80} {
+		for seed := int64(1); seed <= 3; seed++ {
+			c, err := topo.Build(topo.DefaultConfig(n, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels := c.G.BFSLevels(topo.Head)
+			uniform, mixed := make([]int, n+1), make([]int, n+1)
+			for v := 1; v <= n; v++ {
+				if levels[v] > 0 {
+					uniform[v] = 2
+					mixed[v] = 1 + rng.Intn(3)
+				}
+			}
+			gs = append(gs, c.G, c.G)
+			demands = append(demands, uniform, mixed)
+		}
+	}
+	return gs, demands
+}
+
+// TestDeltaSearchMatchesPaperAscent pins the bounded search against the
+// paper's +1 ascent: the layer bound and every min-cut jump target stay
+// at or below the optimum, both searches find the paper's delta, and
+// their paths equal a cold solve at it — also when the search reused its
+// first solve as the canonical one.
+func TestDeltaSearchMatchesPaperAscent(t *testing.T) {
+	gs, demands := deltaSearchCases(t)
+	reused, resolved := 0, 0
+	for i, g := range gs {
+		demand := demands[i]
+		total, maxDemand := 0, 0
+		for _, d := range demand {
+			total += d
+			maxDemand = max(maxDemand, d)
+		}
+		if total == 0 {
+			continue
+		}
+		want := paperDelta(t, g, demand, total)
+		lb := layerBound(g.BFSLevels(0), demand, maxDemand)
+		if lb > want {
+			t.Fatalf("case %d: layer bound %d above optimum %d", i, lb, want)
+		}
+		// Every delta below the optimum, reached warm by a +1 ascent and
+		// cold from zero flow: the min cut never jumps past the optimum.
+		checkJump := func(nw *network, delta int, flow int64) {
+			next, err := nw.cutTarget(delta, flow, total)
+			if err != nil {
+				t.Fatalf("case %d delta %d: %v", i, delta, err)
+			}
+			if next <= delta || next > want {
+				t.Fatalf("case %d: jump from %d to %d, optimum %d", i, delta, next, want)
+			}
+		}
+		warm := buildNetwork(nil, g, 0, demand, int64(lb))
+		flow := warm.fn.MaxFlow(warm.src, warm.sink)
+		for delta := lb; delta < want; delta++ {
+			checkJump(warm, delta, flow)
+			cold := buildNetwork(nil, g, 0, demand, int64(delta))
+			checkJump(cold, delta, cold.fn.MaxFlow(cold.src, cold.sink))
+			warm.setDelta(int64(delta + 1))
+			flow += warm.fn.MaxFlow(warm.src, warm.sink)
+		}
+		canon := coldPaths(t, g, demand, want)
+		for _, search := range []DeltaSearch{LinearSearch, BinarySearch} {
+			plan, err := BalancedPaths(g, 0, demand, search)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Delta != want {
+				t.Fatalf("case %d search %d: delta %d, paper ascent %d", i, search, plan.Delta, want)
+			}
+			if !samePaths(plan.Paths, canon) {
+				t.Fatalf("case %d search %d: paths differ from a cold solve at %d (%d solves)",
+					i, search, want, plan.Solves)
+			}
+			if plan.Solves == 1 {
+				if lb != want {
+					t.Fatalf("case %d: one solve but bound %d != optimum %d", i, lb, want)
+				}
+				reused++
+			} else {
+				resolved++
+			}
+		}
+	}
+	if reused == 0 || resolved == 0 {
+		t.Fatalf("cases cover reused %d and re-solved %d canonical solves; want both", reused, resolved)
 	}
 }

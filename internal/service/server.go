@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -63,6 +65,24 @@ func NewServer(m *Manager, reg *obs.Registry, lg *log.Logger) *Server {
 		s.mux.Handle("GET /metrics", reg.Handler())
 	}
 	return s
+}
+
+// NewHTTPServer returns the daemon's http.Server for h on addr. Its
+// request contexts are cancelled as soon as Shutdown starts. Shutdown
+// waits for active connections but never cancels a handler itself, so an
+// attached SSE stream (job events, alert events) would otherwise hold the
+// drain until its deadline; only the streaming loop watches the request
+// context, so other in-flight requests still finish.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+	}
+	srv.RegisterOnShutdown(cancel)
+	return srv
 }
 
 // Handle mounts an extra handler subtree on the server's mux — the

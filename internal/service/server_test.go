@@ -3,14 +3,18 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/alerting"
 	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/obs"
@@ -376,5 +380,64 @@ func TestSSETerminalReplay(t *testing.T) {
 	s := buf.String()
 	if !strings.Contains(s, "event: state") || !strings.Contains(s, `"done"`) {
 		t.Fatalf("terminal replay stream:\n%s", s)
+	}
+}
+
+// TestShutdownEndsAttachedStreams pins a prompt drain: with an alerts
+// stream and a job-events stream attached, Shutdown of the daemon's
+// server returns within a second instead of waiting for the streams'
+// clients to hang up.
+func TestShutdownEndsAttachedStreams(t *testing.T) {
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg)
+	alerting.RegisterMetrics(reg)
+	m, err := New(Config{SpoolDir: t.TempDir(), Workers: 1, QueueDepth: 4, Obs: reg.Observer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer stopManager(t, m)
+	api := NewServer(m, reg, nil)
+	api.Handle("/v1/alerts/", alerting.New(alerting.Config{Registry: reg}).Handler())
+	srv := NewHTTPServer("", api)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	base := "http://" + ln.Addr().String()
+
+	// A long probe keeps its job feed open while the stream is attached.
+	resp, body := postJSON(t, base+"/v1/jobs", `{"type":"probe","probe":{"sleep_ms":60000}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var job Job
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/alerts/events", "/v1/jobs/" + job.ID + "/events"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with attached streams: %v after %s", err, time.Since(start))
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("shutdown took %s with attached streams, want under 1s", took)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("serve: %v", err)
 	}
 }
