@@ -15,8 +15,8 @@ import (
 // inter-cluster interference graph, then runs churned epochs, reporting
 // run-wide throughput at the heads, the steady-state lifetime estimate,
 // the surviving population and whether the busiest channel's duty still
-// fits the cycle. Cells run sequentially — the runtime itself
-// parallelizes channel shards with opts.Workers.
+// fits the cycle. Cells run sequentially — the runtime itself runs a
+// cell's clusters on a pool bounded by opts.Workers.
 func runFieldFig(opts exp.Options, quick bool) ([]string, [][]string, error) {
 	type size struct {
 		heads, sensors int

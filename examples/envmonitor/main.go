@@ -4,9 +4,9 @@
 // battery. It deploys a multi-cluster field with Voronoi cluster forming
 // (Section V-A), assigns inter-cluster radio channels by coloring
 // (Section V-G), simulates every cluster's polling with sector
-// partitioning, and reports field-wide energy figures. A second phase
-// runs the sharded field runtime with fault churn to show the field
-// surviving sensor deaths across epochs.
+// partitioning for one epoch, and reports field-wide energy figures. A
+// second phase runs the field runtime for several epochs with fault
+// churn to show the field surviving sensor deaths.
 //
 //	go run ./examples/envmonitor
 package main
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/energy"
 	"repro/internal/exp"
 	"repro/internal/field"
 	"repro/internal/topo"
@@ -53,34 +54,51 @@ func main() {
 	cfg := topo.DefaultConfig(0, 0) // radio/range parameters for every cluster
 	cfg.SensorRange = 40            // Voronoi cells are wide; reach accordingly
 	cfg.HeadRange = 300
-	summary, err := field.RunField(fld, cfg, params, 4, 80, batteryJ)
+	// Phase one: a single epoch of four duty cycles, no churn.
+	rt, err := field.New(fld, field.Config{
+		Topo:              cfg,
+		Params:            params,
+		InterferenceRange: 80,
+		BatteryJoules:     batteryJ,
+		Energy:            energy.DefaultModel(),
+		EpochCycles:       4,
+		Epochs:            1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	summary, err := rt.Run(exp.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	first := summary.Reports[0]
 
 	fmt.Printf("radio channels used: %d (paper guarantees <= 6 for the planar-like cluster graph)\n\n",
 		summary.Channels)
-	for i, s := range summary.PerCluster {
-		fmt.Printf("cluster %d (channel %d): duty %8v/cycle, active %5.2f%%, delivered %3.0f%%, retries %d\n",
-			i, summary.Colors[i], s.MeanDuty.Round(time.Millisecond), s.MeanActive*100,
-			s.DeliveredFraction()*100, s.Retries)
+	for _, c := range first.Clusters {
+		delivered := 1.0
+		if c.Offered > 0 {
+			delivered = float64(c.Delivered) / float64(c.Offered)
+		}
+		fmt.Printf("cluster %d (channel %d): duty %8v/cycle, live %3d sensors, delivered %3.0f%%, retries %d\n",
+			c.Cluster, c.Channel, c.MeanDuty.Round(time.Millisecond), c.Live, delivered*100, c.Retries)
 	}
-	if summary.Stranded > 0 {
-		fmt.Printf("\nstranded sensors (no multi-hop path to their head): %d\n", summary.Stranded)
+	if summary.StrandedFinal > 0 {
+		fmt.Printf("\nstranded sensors (no multi-hop path to their head): %d\n", summary.StrandedFinal)
 	}
 	fmt.Printf("\nfield lifetime (first sensor death anywhere): %v\n", summary.Lifetime.Round(time.Hour))
 	fmt.Printf("minimum field cycle under token rotation: %v; under %d-channel coloring: %v\n",
-		summary.TokenCycle.Round(time.Millisecond), summary.Channels,
-		summary.ColoredCycle.Round(time.Millisecond))
+		first.TokenCycle.Round(time.Millisecond), summary.Channels,
+		first.ColoredCycle.Round(time.Millisecond))
 	fmt.Printf("the %v cycle leaves %.1fx headroom on the busiest channel\n",
-		params.Cycle, float64(params.Cycle)/float64(summary.ColoredCycle))
+		params.Cycle, float64(params.Cycle)/float64(first.ColoredCycle))
 
 	// Phase two: months of operation compressed into churned epochs.
 	// Every epoch one in three clusters loses a sensor to hardware
 	// failure; the head re-plans around the gap and the field keeps
 	// delivering for the survivors.
 	fmt.Printf("\n== Field runtime: 8 epochs with relay-fault churn ==\n\n")
-	rt, err := field.New(fld, field.Config{
+	rt, err = field.New(fld, field.Config{
 		Topo:              cfg,
 		Params:            params,
 		InterferenceRange: 80,

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/exp"
 	"repro/internal/field"
 	"repro/internal/mac/smac"
 	"repro/internal/routing"
@@ -153,7 +154,18 @@ func TestFullFieldLifecycle(t *testing.T) {
 	p.RateBps = 15
 	p.Cycle = 10 * time.Second
 	p.UseSectors = true
-	s, err := field.RunField(f, cfg, p, 2, 80, 500)
+	rt, err := field.New(f, field.Config{
+		Topo:              cfg,
+		Params:            p,
+		InterferenceRange: 80,
+		BatteryJoules:     500,
+		EpochCycles:       2,
+		Epochs:            1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rt.Run(exp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +176,14 @@ func TestFullFieldLifecycle(t *testing.T) {
 		t.Fatalf("coloring used %d channels", s.Channels)
 	}
 	if !s.FitsCycle(p.Cycle) {
-		t.Fatalf("field duty %v does not fit the %v cycle", s.ColoredCycle, p.Cycle)
+		t.Fatalf("field duty %v does not fit the %v cycle", s.MaxColoredCycle(), p.Cycle)
 	}
 	if s.Lifetime <= 0 {
 		t.Fatal("no field lifetime")
 	}
-	for i, cs := range s.PerCluster {
-		if cs.DeliveredFraction() != 1 {
-			t.Fatalf("cluster %d delivered %v", i, cs.DeliveredFraction())
+	for _, c := range s.Reports[0].Clusters {
+		if c.Delivered != c.Offered {
+			t.Fatalf("cluster %d delivered %d of %d", c.Cluster, c.Delivered, c.Offered)
 		}
 	}
 }

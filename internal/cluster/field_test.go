@@ -57,23 +57,6 @@ func TestColoredCycleLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestFieldSummaryFitsCycle(t *testing.T) {
-	s := &FieldSummary{ColoredCycle: 10 * time.Millisecond}
-	if !s.FitsCycle(10 * time.Millisecond) {
-		t.Fatal("field must fit exactly its colored cycle")
-	}
-	if !s.FitsCycle(time.Second) {
-		t.Fatal("field must fit any longer cycle")
-	}
-	if s.FitsCycle(10*time.Millisecond - time.Nanosecond) {
-		t.Fatal("field cannot fit below its colored cycle")
-	}
-	empty := &FieldSummary{}
-	if !empty.FitsCycle(0) {
-		t.Fatal("an empty field fits the zero cycle")
-	}
-}
-
 func TestBuildClusterFromField(t *testing.T) {
 	f := topo.BuildField(13, 250, 4, 60)
 	cfg := topo.DefaultConfig(0, 0)

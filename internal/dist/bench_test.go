@@ -45,7 +45,7 @@ func BenchmarkDistEpoch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := co.rt.MergeEpoch(results); err != nil {
+				if _, err := co.rt.MergeEpoch(nil, results); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,7 +130,7 @@ func BenchmarkDistEpoch100k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := co.rt.MergeEpoch(results); err != nil {
+		if _, err := co.rt.MergeEpoch(nil, results); err != nil {
 			b.Fatal(err)
 		}
 	}

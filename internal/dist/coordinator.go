@@ -65,7 +65,8 @@ type Config struct {
 	// values <= 1 disable latency migration.
 	ImbalanceRatio float64
 
-	// Obs, when non-nil, receives the dist_* series.
+	// Obs, when non-nil, receives the dist_* series and, from every
+	// merged epoch, the same field_* series a local run emits.
 	Obs obs.Observer
 	// OnCommit, when non-nil, runs after every merged epoch with the
 	// committed boundary snapshot and the epoch's report — the service
@@ -369,7 +370,7 @@ func (co *Coordinator) Run(ctx context.Context) (*field.Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := co.rt.MergeEpoch(results)
+		rep, err := co.rt.MergeEpoch(co.cfg.Obs, results)
 		if err != nil {
 			return nil, err
 		}
@@ -436,15 +437,11 @@ func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) (
 				if co.placed[k] == o.worker {
 					continue
 				}
-				d, st, err := co.rt.ExportClusterHandoff(k)
+				d, err := co.rt.EncodeClusterDelta(k)
 				if err != nil {
 					return nil, err
 				}
-				if d != nil {
-					req.AdoptDeltas = append(req.AdoptDeltas, *d)
-				} else {
-					req.Adopt = append(req.Adopt, *st)
-				}
+				req.AdoptDeltas = append(req.AdoptDeltas, d)
 				// A cluster moving off a worker it was previously placed
 				// on is a reassignment — after a loss (seen mid-barrier on
 				// a retry pass or by the heartbeat between epochs) or by a

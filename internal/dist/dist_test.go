@@ -23,7 +23,8 @@ import (
 // the field package pins its determinism contract on, six epochs so a
 // kill after epoch 2 still leaves reassigned epochs to run. The spec
 // bytes are ignored — the deployment is fixed — but every call returns a
-// fresh field and propagation model, as the Builder contract requires.
+// fresh field and propagation model, as a worker process building from
+// the spec would.
 func testBuilder(json.RawMessage) (*topo.Field, field.Config, error) {
 	prop := radio.NewLogDistance(3.5, 1)
 	tcfg := topo.DefaultConfig(0, 0)

@@ -3,8 +3,9 @@
 // hashing and drives them through lockstep epochs with an epoch-barrier
 // protocol — assign, run, collect per-cluster results, commit. The field
 // layer guarantees a cluster's trajectory is independent of which
-// process runs it (field.RunShardEpoch / field.MergeEpoch), so the
-// coordinator's merged Summary and Snapshot are byte-identical to a
+// process runs it (field.Runtime.RunShardEpoch / MergeEpoch, the same
+// engine field.Runtime.Run drives locally), so the coordinator's merged
+// Summary, Snapshot and field_* metrics are identical to a
 // single-process field.Run at any worker count; what this package adds
 // is the protocol around that invariant: sessions, heartbeats, per-call
 // timeouts, retry/backoff, and shard reassignment from the last
@@ -25,13 +26,13 @@ import (
 // Builder constructs the deployment a session simulates from opaque spec
 // bytes. Coordinator and workers run the same builder over the same
 // bytes and must land on identical (field, Config) pairs — the field
-// fingerprint in OpenRequest verifies that they did. Builders must
-// return a fresh field and a fresh propagation model on every call:
-// churn mutates both in place.
+// fingerprint in OpenRequest verifies that they did. The field runtime
+// writes to neither the field nor the propagation model (each cluster
+// gets its own copy of the model), so a builder may return shared ones.
 type Builder func(spec json.RawMessage) (*topo.Field, field.Config, error)
 
 // OpenRequest registers a session on a worker: build the deployment from
-// Spec and hold a shard-mode runtime for it. Opens are idempotent —
+// Spec and hold a field runtime for it. Opens are idempotent —
 // re-opening an existing session with the same field hash is a no-op, so
 // a coordinator can blindly re-open after a lost response.
 type OpenRequest struct {
@@ -55,12 +56,10 @@ type EpochRequest struct {
 	// Clusters is the shard: the cluster indices this worker owns for the
 	// epoch.
 	Clusters []int `json:"clusters"`
-	// Adopt and AdoptDeltas carry boundary checkpoints to install before
-	// running — how a reassigned cluster's state reaches its new worker.
-	// The coordinator picks the cheaper encoding per cluster
-	// (field.Runtime.ExportClusterHandoff): a full ClusterState, or a
-	// compact delta against the initial build state.
-	Adopt       []field.ClusterState `json:"adopt,omitempty"`
+	// AdoptDeltas carry boundary states to install before running — how
+	// a reassigned cluster's state reaches its new worker. Each is a
+	// self-contained delta against the initial build state
+	// (field.Runtime.EncodeClusterDelta).
 	AdoptDeltas []field.ClusterDelta `json:"adopt_deltas,omitempty"`
 }
 

@@ -14,18 +14,19 @@ import (
 // Wrapped; match with errors.Is. The HTTP layer maps it to 404.
 var ErrNoSession = errors.New("no such session")
 
-// WorkerHost is the worker half of the protocol: it holds shard-mode
-// field runtimes keyed by session and serves the coordinator's open /
-// run-epoch / fetch-state / close calls. It is transport-agnostic —
-// Handler mounts it over HTTP, LocalTransport calls it in-process.
+// WorkerHost is the worker half of the protocol: it holds field
+// runtimes keyed by session and serves the coordinator's open /
+// run-epoch / close calls. It is transport-agnostic — Handler mounts it
+// over HTTP, LocalTransport calls it in-process.
 //
-// Calls on one session serialize under the session's lock (a shard-mode
-// runtime is single-threaded by design); different sessions proceed
-// concurrently.
+// Calls on one session serialize under the session's lock (a runtime
+// takes one call at a time and runs the shard's clusters on its own
+// pool); different sessions proceed concurrently.
 type WorkerHost struct {
 	build Builder
 	// Obs, when non-nil, receives the per-cluster series the cluster
-	// runners emit. Observational only.
+	// runners emit and the radio_* series of the worker's mediums.
+	// Observational only.
 	Obs obs.Observer
 
 	mu       sync.Mutex
@@ -96,7 +97,7 @@ func (h *WorkerHost) session(id string) (*workerSession, error) {
 }
 
 // RunShard installs any handed-off states and advances the requested
-// clusters through the epoch.
+// clusters through the epoch on a pool of runtime.NumCPU goroutines.
 func (h *WorkerHost) RunShard(req EpochRequest) (*EpochResponse, error) {
 	s, err := h.session(req.Session)
 	if err != nil {
@@ -104,11 +105,6 @@ func (h *WorkerHost) RunShard(req EpochRequest) (*EpochResponse, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, st := range req.Adopt {
-		if err := s.rt.AdoptCluster(st); err != nil {
-			return nil, err
-		}
-	}
 	for _, d := range req.AdoptDeltas {
 		if err := s.rt.AdoptClusterDelta(d); err != nil {
 			return nil, err
@@ -119,19 +115,6 @@ func (h *WorkerHost) RunShard(req EpochRequest) (*EpochResponse, error) {
 		return nil, err
 	}
 	return &EpochResponse{Results: res}, nil
-}
-
-// ClusterState returns one cluster's current boundary checkpoint — the
-// fetch half of the handoff API, for pulling state off a worker that is
-// being drained rather than mourned.
-func (h *WorkerHost) ClusterState(session string, k int) (field.ClusterState, error) {
-	s, err := h.session(session)
-	if err != nil {
-		return field.ClusterState{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rt.ExportClusterState(k)
 }
 
 // Close drops a session. Closing an unknown session is a no-op — the

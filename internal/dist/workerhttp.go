@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/field"
@@ -19,7 +18,6 @@ import (
 //	GET    /v1/worker/ping                       → 204 (heartbeat)
 //	POST   /v1/worker/sessions                   → 204 (OpenRequest body)
 //	POST   /v1/worker/sessions/{id}/epoch        → 200 EpochResponse (EpochRequest body)
-//	GET    /v1/worker/sessions/{id}/clusters/{k} → 200 field.ClusterState
 //	DELETE /v1/worker/sessions/{id}              → 204
 //
 // Error mapping: unknown session 404, protocol violations (epoch out of
@@ -60,19 +58,6 @@ func (h *WorkerHost) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, resp)
-	})
-	mux.HandleFunc("GET /v1/worker/sessions/{id}/clusters/{k}", func(w http.ResponseWriter, r *http.Request) {
-		k, err := strconv.Atoi(r.PathValue("k"))
-		if err != nil {
-			http.Error(w, "dist: bad cluster index", http.StatusBadRequest)
-			return
-		}
-		st, err := h.ClusterState(r.PathValue("id"), k)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, st)
 	})
 	mux.HandleFunc("DELETE /v1/worker/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		h.Close(r.PathValue("id"))

@@ -45,7 +45,7 @@ const (
 
 // WorkerCount resolves the pool size: Options.Workers wins, then NumCPU.
 // Other runtimes that bound their own pools by Options (e.g. the field
-// runtime's shard workers) resolve through this so every consumer agrees.
+// runtime's cluster pool) resolve through this so every consumer agrees.
 // (The unsynchronized package-level Workers shim that used to be consulted
 // between the two was deprecated for one release and is gone; pass
 // Options.Workers.)

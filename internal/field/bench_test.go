@@ -57,9 +57,10 @@ func BenchmarkFieldEpochLarge(b *testing.B) {
 }
 
 // BenchmarkFieldEpoch measures one churn-free field epoch — the
-// runtime's hot loop — sequential versus sharded. Same-channel clusters
-// must serialize, so the speedup ceiling is clusters/channels, and on a
-// single-CPU host the sharded numbers mostly show the goroutine overhead.
+// runtime's hot loop — on one goroutine versus a cluster pool of four.
+// The speedup ceiling is the CPU count (and the largest cluster's share
+// of the epoch); on a single-CPU host the pooled numbers mostly show the
+// goroutine overhead.
 //
 //	go run ./cmd/benchjson -bench FieldEpoch -o BENCH_PR3.json
 func BenchmarkFieldEpoch(b *testing.B) {

@@ -1,14 +1,16 @@
 package field
 
 import (
+	"repro/internal/cluster"
 	"repro/internal/radio"
 )
 
-// The churn engine: runs single-threaded at every epoch boundary, after
-// the shard barrier. Every draw is a pure hash of (churn seed, epoch,
-// cluster, salt), so the fault sequence is a function of the
-// configuration alone — independent of worker count, wall clock and
-// iteration order — and a resumed runtime replays the exact same faults.
+// The churn engine: each cluster runs its share of the epoch boundary
+// right after its epoch, on the goroutine that ran it. Every draw is a
+// pure hash of (churn seed, epoch, cluster, salt), so the fault sequence
+// is a function of the configuration alone — independent of worker
+// count, wall clock and iteration order — and a resumed runtime replays
+// the exact same faults.
 
 // Salt constants keep the three draw families independent streams.
 const (
@@ -17,99 +19,23 @@ const (
 	saltShadow = 0x5ad00
 )
 
-// churn applies the epoch boundary: battery depletion from the epoch's
-// energy accounting, injected relay faults, and shadowing shifts; then
-// recounts stranded sensors and re-planned clusters into the report.
-// All slices are Runtime scratch reused across epochs, so a steady-state
-// boundary allocates nothing proportional to field size.
-func (rt *Runtime) churn(epoch int, outs []clusterEpochOut, rep *EpochReport) {
-	if rt.scratchChanged == nil {
-		rt.scratchChanged = make([]bool, len(rt.clusters))
-	}
-	changed := rt.scratchChanged
-	for i := range changed {
-		changed[i] = false
-	}
-
-	// Battery depletion: integrate the epoch's per-sensor draw and kill
-	// empties. Stranded-but-powered sensors drain sleep energy like
-	// everyone else; already-dead sensors are left alone. Each cluster's
-	// deaths are collected and applied as one batch — one connectivity
-	// rebuild per cluster instead of one per death.
-	if rt.batteries != nil {
-		for k, c := range rt.clusters {
-			if c == nil || outs[k].energyUse == nil {
-				continue
-			}
-			if rt.batteryChurnCluster(epoch, k, outs[k].energyUse, &rep.Deaths) {
-				changed[k] = true
-			}
-		}
-	}
-
-	// Injected relay faults: with probability FaultRate per cluster, one
-	// uniformly drawn reachable sensor dies abruptly. (The draw sees the
-	// post-battery-kill graph, exactly as when deaths were applied one at
-	// a time.)
-	if rt.cfg.Churn.FaultRate > 0 {
-		for k, c := range rt.clusters {
-			if c == nil {
-				continue
-			}
-			if rt.faultChurnCluster(epoch, k, &rep.Deaths) {
-				changed[k] = true
-			}
-		}
-	}
-
-	// Shadowing shift: re-derive the field-wide per-link shadowing table
-	// and refresh every cluster's materialized link powers and
-	// connectivity. Only a LogDistance propagation model exposes the hook;
-	// the revision counter (not the epoch) keys the table so a resume
-	// replays it. A cluster counts as changed only when the shift actually
-	// flipped one of its links (its ConnectivityRev moved) — quiet
-	// clusters keep their routing plans and plan-cache hits.
-	if rt.shadowDue(epoch) {
-		rt.shadowRev++
-		revs := rt.scratchRevs[:0]
-		for _, c := range rt.clusters {
-			var r uint64
-			if c != nil {
-				r = c.ConnectivityRev()
-			}
-			revs = append(revs, r)
-		}
-		rt.scratchRevs = revs
-		rt.applyShadow()
-		for k, c := range rt.clusters {
-			if c != nil && c.ConnectivityRev() != revs[k] {
-				changed[k] = true
-			}
-		}
-	}
-
-	rep.Stranded = rt.countStranded()
-	for k, c := range rt.clusters {
-		if c != nil && changed[k] {
-			rep.Replans++
-		}
-	}
-}
-
-// batteryChurnCluster integrates cluster k's epoch energy draw into its
+// batteryChurnCluster integrates cluster k's epoch energy draw (the
+// summary's mean per-cycle profiles over the epoch's cycles) into its
 // batteries and kills the sensors whose batteries empty, appending their
 // deaths (ascending by sensor — the canonical boundary order) to deaths.
-// Returns whether the cluster's connectivity changed. Callers guarantee
-// battery accounting is enabled and energyUse is the cluster's epoch
-// profile.
-func (rt *Runtime) batteryChurnCluster(epoch, k int, energyUse []float64, deaths *[]Death) bool {
+// Stranded-but-powered sensors drain sleep energy like everyone else;
+// already-dead sensors are left alone. The deaths are applied as one
+// batch: one connectivity rebuild instead of one per death. Returns
+// whether the cluster's connectivity changed.
+func (rt *Runtime) batteryChurnCluster(epoch, k int, sum *cluster.Summary, cycles int, deaths *[]Death) bool {
 	c := rt.clusters[k]
-	victims := rt.scratchVictims[:0]
+	s := &rt.slots[k]
+	victims := s.victims[:0]
 	for v := 1; v <= c.Sensors(); v++ {
 		if rt.dead[k][v] {
 			continue
 		}
-		rt.batteries[k][v] -= energyUse[v]
+		rt.batteries[k][v] -= sensorEnergy(rt.em, sum.MeanProfiles[v], cycles)
 		if rt.batteries[k][v] <= 0 {
 			rt.batteries[k][v] = 0
 			victims = append(victims, v)
@@ -118,7 +44,7 @@ func (rt *Runtime) batteryChurnCluster(epoch, k int, energyUse []float64, deaths
 			})
 		}
 	}
-	rt.scratchVictims = victims
+	s.victims = victims
 	if len(victims) == 0 {
 		return false
 	}
@@ -138,8 +64,8 @@ func (rt *Runtime) faultChurnCluster(epoch, k int, deaths *[]Death) bool {
 	if hashUnit(draw) >= rt.cfg.Churn.FaultRate {
 		return false
 	}
-	alive := c.ReachableInto(rt.scratchReach)
-	rt.scratchReach = alive
+	alive := c.ReachableInto(rt.slots[k].reach)
+	rt.slots[k].reach = alive
 	if len(alive) == 0 {
 		return false
 	}
@@ -186,10 +112,9 @@ func (rt *Runtime) shadowDue(epoch int) bool {
 }
 
 // revForEpoch is the shadowing-table revision in force while the given
-// epoch runs: the number of shift boundaries before it. Both the
-// single-process runtime and every distributed worker derive the same
-// revision from the epoch number alone — the radio environment is never
-// part of any handoff payload.
+// epoch runs: the number of shift boundaries before it. Every process
+// derives the same revision from the epoch number alone — the radio
+// environment is never part of any handoff payload or snapshot state.
 func (rt *Runtime) revForEpoch(epoch int) int {
 	if !rt.shadowEnabled() {
 		return 0
@@ -197,44 +122,22 @@ func (rt *Runtime) revForEpoch(epoch int) int {
 	return epoch / rt.cfg.Churn.ShadowEvery
 }
 
-// installShadow points the shared LogDistance model at the shadowing
-// table for the given revision (revision 0 is the pristine, table-free
-// medium) without refreshing any cluster. Returns false when the
-// propagation model has no shadowing hook. The table is a pure function
-// of (churn seed, revision, sigma), so installs commute: any process can
-// flip between revisions in any order and land on identical link powers.
-func (rt *Runtime) installShadow(rev int) bool {
-	ld, ok := rt.cfg.Topo.Prop.(*radio.LogDistance)
-	if !ok {
-		return false
-	}
-	if rev == 0 {
-		ld.ShadowDB = nil
-		return true
+// refreshTo brings cluster k's materialized links to shadow revision
+// rev: it installs the revision's table on the cluster's own copy of the
+// log-distance model and refreshes the cluster. Revisions only move
+// forward (revision 0 is the model as built). The table is a pure
+// function of (churn seed, revision, sigma), and a refresh re-derives
+// every materialized link from it, so the path to a revision does not
+// matter. Refresh cost is O(materialized links), not N^2 pairs.
+func (rt *Runtime) refreshTo(k, rev int) {
+	s := &rt.slots[k]
+	if s.rev == rev {
+		return
 	}
 	seed := int64(hashMix(uint64(rt.cfg.churnSeed()), uint64(rev), saltShadow))
-	ld.ShadowDB = radio.HashShadow(seed, rt.cfg.Churn.ShadowSigmaDB)
-	return true
-}
-
-// applyShadow installs the shadow table for the current revision on the
-// shared LogDistance model and refreshes every cluster. Keying the table
-// by revision makes the radio environment a pure function of (seed,
-// revision): Resume re-applies it with one call regardless of history.
-// Refresh cost is O(materialized links) per cluster — the sparse medium
-// re-derives only the link powers it stores, not N^2 pairs.
-func (rt *Runtime) applyShadow() {
-	if rt.shadowRev == 0 {
-		return
-	}
-	if !rt.installShadow(rt.shadowRev) {
-		return
-	}
-	for _, c := range rt.clusters {
-		if c != nil {
-			c.RefreshConnectivity()
-		}
-	}
+	s.prop.ShadowDB = radio.HashShadow(seed, rt.cfg.Churn.ShadowSigmaDB)
+	s.rev = rev
+	rt.clusters[k].RefreshConnectivity()
 }
 
 // strandedIn counts cluster k's powered sensors without a relaying path
@@ -246,19 +149,6 @@ func (rt *Runtime) strandedIn(k int) int {
 		if !rt.dead[k][v] && c.Level[v] <= 0 {
 			stranded++
 		}
-	}
-	return stranded
-}
-
-// countStranded counts powered sensors without a relaying path to their
-// head across the field.
-func (rt *Runtime) countStranded() int {
-	stranded := 0
-	for k, c := range rt.clusters {
-		if c == nil {
-			continue
-		}
-		stranded += rt.strandedIn(k)
 	}
 	return stranded
 }

@@ -1,30 +1,31 @@
 package field
 
-// The delta codec: a compact wire encoding of ClusterState. The full
-// state ships every battery and every dead sensor on every hop; at scale
-// that is the distributed runtime's dominant payload. A delta instead
-// names a base boundary both ends can reconstruct and carries only what
-// moved since:
+// The delta codec: the wire encoding of one cluster's epoch-boundary
+// state — who is dead and how much battery remains. Together with the
+// (field, Config) pair it is sufficient for any process to reconstruct
+// the cluster and continue its trajectory. A delta names a base boundary
+// both ends can reconstruct and carries only what moved since:
 //
 //   - Base == -1 is the initial build state, derivable from the spec
 //     alone (nobody dead, every sensor at Config.BatteryJoules, the
-//     mains-powered head at zero). Self-contained — the form adoption
-//     payloads use, valid no matter what the receiver currently holds.
+//     mains-powered head at zero). Self-contained: it is the cluster's
+//     full state, the form adoption payloads use, valid no matter what
+//     the receiver currently holds.
 //   - Base == e is the committed boundary after epoch e. Usable only
-//     when the receiver is known to hold that boundary — the worker →
-//     coordinator result path, where the barrier protocol guarantees
-//     the coordinator's books sit exactly at the boundary the worker
-//     started the epoch from.
+//     when the receiver is known to hold that boundary — the result
+//     path into MergeEpoch, where the barrier protocol guarantees the
+//     merging runtime's books sit exactly at the boundary the epoch
+//     started from.
 //
 // Dead sensors are gap-encoded (first index absolute, then ascending
 // gaps); batteries ship as parallel (gap-encoded index, value) arrays
-// listing only sensors whose level differs from the base. A quiet
-// cluster — no deaths, no drain — is a header and two empty lists.
+// listing only nodes whose level differs from the base. A quiet cluster
+// — no deaths, no drain — is a header and two empty lists.
 //
 // Decoding validates structure before touching any runtime state and
 // returns errors wrapping ErrDeltaCorrupt for malformed wire bytes,
 // ErrShardMismatch / ErrShardEpoch for well-formed deltas that do not
-// fit this field — the same sentinels the full-state paths use.
+// fit this field.
 
 import (
 	"errors"
@@ -41,11 +42,14 @@ var ErrDeltaCorrupt = errors.New("cluster delta corrupt")
 // DeltaBaseInitial is the Base value naming the initial build state.
 const DeltaBaseInitial = -1
 
-// ClusterDelta is the compact encoding of a ClusterState against a base
-// boundary. See the package comment above for the wire contract.
+// ClusterDelta is one cluster's boundary state encoded against a base
+// boundary. See the comment at the top of this file for the wire
+// contract.
 type ClusterDelta struct {
-	// Cluster, Fingerprint, Epoch mirror ClusterState: which cluster,
-	// which deployment, and the boundary the decoded state is at.
+	// Cluster is the field cluster index. Fingerprint hashes the
+	// cluster's geometry (topo.Field.ClusterFingerprint, "%016x"), so
+	// state from a different deployment is rejected. Epoch is the number
+	// of epochs completed at the encoded boundary.
 	Cluster     int    `json:"cluster"`
 	Fingerprint string `json:"fingerprint"`
 	Epoch       int    `json:"epoch"`
@@ -142,49 +146,49 @@ func (d *ClusterDelta) validate(n int, batteries bool) error {
 	return nil
 }
 
+// appendBatteryDiff appends the nodes whose level in cur differs from
+// base(v) to d's battery arrays, gap-encoded from node 0.
+func (d *ClusterDelta) appendBatteryDiff(cur []float64, base func(v int) float64) {
+	prev := 0
+	for v, b := range cur {
+		if b == base(v) {
+			continue
+		}
+		if len(d.BatteryIdx) == 0 {
+			d.BatteryIdx = append(d.BatteryIdx, v)
+		} else {
+			d.BatteryIdx = append(d.BatteryIdx, v-prev)
+		}
+		prev = v
+		d.BatteryVals = append(d.BatteryVals, b)
+	}
+}
+
 // EncodeClusterDelta encodes cluster k's current boundary state against
 // the initial build state (Base == DeltaBaseInitial) — the
 // self-contained form adoption payloads ship, decodable by any process
 // holding the same spec regardless of its current state.
 func (rt *Runtime) EncodeClusterDelta(k int) (ClusterDelta, error) {
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+	if !rt.has(k) {
 		return ClusterDelta{}, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
 	}
 	d := ClusterDelta{
 		Cluster:      k,
-		Fingerprint:  fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)),
-		Epoch:        rt.epoch,
+		Fingerprint:  rt.fingerprint(k),
+		Epoch:        rt.slots[k].epoch,
 		Base:         DeltaBaseInitial,
 		HasBatteries: rt.batteries != nil,
 	}
-	if rt.shardEpochs != nil {
-		d.Epoch = rt.shardEpochs[k]
-	}
-	prev := 0
+	dead := rt.slots[k].victims[:0]
 	for v, isDead := range rt.dead[k] {
 		if isDead {
-			if len(d.DeadGaps) == 0 {
-				d.DeadGaps = append(d.DeadGaps, v)
-			} else {
-				d.DeadGaps = append(d.DeadGaps, v-prev)
-			}
-			prev = v
+			dead = append(dead, v)
 		}
 	}
+	rt.slots[k].victims = dead
+	d.DeadGaps = appendGaps(nil, dead)
 	if rt.batteries != nil {
-		prev = 0
-		for v, b := range rt.batteries[k] {
-			if b == rt.initialBattery(v) {
-				continue
-			}
-			if len(d.BatteryIdx) == 0 {
-				d.BatteryIdx = append(d.BatteryIdx, v)
-			} else {
-				d.BatteryIdx = append(d.BatteryIdx, v-prev)
-			}
-			prev = v
-			d.BatteryVals = append(d.BatteryVals, b)
-		}
+		d.appendBatteryDiff(rt.batteries[k], rt.initialBattery)
 	}
 	return d, nil
 }
@@ -198,180 +202,43 @@ func (rt *Runtime) initialBattery(v int) float64 {
 	return rt.cfg.BatteryJoules
 }
 
-// ExpandClusterDelta decodes a Base == DeltaBaseInitial delta into the
-// absolute ClusterState it encodes. Only initial-base deltas are
-// self-contained enough to expand without a reference boundary;
-// incremental deltas are consumed by MergeEpoch against the
-// coordinator's books.
-func (rt *Runtime) ExpandClusterDelta(d ClusterDelta) (ClusterState, error) {
+// checkDelta validates d against this field without touching any state:
+// a known cluster, a well-formed payload of the right battery mode, and
+// the cluster's fingerprint.
+func (rt *Runtime) checkDelta(d *ClusterDelta) error {
 	k := d.Cluster
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
-		return ClusterState{}, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
-	}
-	c := rt.clusters[k]
-	if err := d.validate(c.Sensors(), rt.batteries != nil); err != nil {
-		return ClusterState{}, err
-	}
-	if d.Base != DeltaBaseInitial {
-		return ClusterState{}, fmt.Errorf("field: %w: cluster %d delta has base %d, expansion needs the initial base",
-			ErrShardEpoch, k, d.Base)
-	}
-	st := ClusterState{
-		Cluster:     k,
-		Fingerprint: d.Fingerprint,
-		Epoch:       d.Epoch,
-		Dead:        []int{},
-	}
-	var err error
-	st.Dead, err = decodeGaps(st.Dead, d.DeadGaps, 1, c.Sensors())
-	if err != nil {
-		return ClusterState{}, err
-	}
-	if d.HasBatteries {
-		st.Batteries = make([]float64, c.Sensors()+1)
-		for v := range st.Batteries {
-			st.Batteries[v] = rt.initialBattery(v)
-		}
-		idx, err := decodeGaps(nil, d.BatteryIdx, 0, c.Sensors())
-		if err != nil {
-			return ClusterState{}, err
-		}
-		for i, v := range idx {
-			st.Batteries[v] = d.BatteryVals[i]
-		}
-	}
-	return st, nil
-}
-
-// deltaCheaper reports whether the delta beats the full ClusterState on
-// the wire for a cluster of n sensors. Battery values dominate both
-// encodings, but unevenly: the delta pays an index per entry, while the
-// full array ships unchanged entries — which include 1-byte zeros for
-// the dead. Half the nodes is a cut with margin to spare on both sides.
-// Battery-free deltas always win — they reduce to a header plus the
-// dead-gap list.
-func (rt *Runtime) deltaCheaper(d *ClusterDelta, n int) bool {
-	return !d.HasBatteries || 2*len(d.BatteryIdx) <= n
-}
-
-// ExportClusterHandoff returns the cheaper wire encoding of cluster k's
-// boundary state for an adoption payload: an initial-base delta when few
-// levels moved from build state, the full ClusterState otherwise.
-// Exactly one return is non-nil.
-func (rt *Runtime) ExportClusterHandoff(k int) (*ClusterDelta, *ClusterState, error) {
-	d, err := rt.EncodeClusterDelta(k)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rt.deltaCheaper(&d, rt.clusters[k].Sensors()) {
-		return &d, nil, nil
-	}
-	st, err := rt.ExportClusterState(k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, &st, nil
-}
-
-// AdoptClusterDelta expands an initial-base delta and adopts the state —
-// the wire form of AdoptCluster.
-func (rt *Runtime) AdoptClusterDelta(d ClusterDelta) error {
-	st, err := rt.ExpandClusterDelta(d)
-	if err != nil {
-		return err
-	}
-	return rt.AdoptCluster(st)
-}
-
-// encodeBoundaryDelta builds the worker → coordinator result delta for
-// cluster k's epoch: new deaths (the boundary's Death records, sorted
-// ascending into scratch) and battery levels that moved against the
-// pre-churn copy in preBatteries. Appends into d's reused slices.
-func (rt *Runtime) encodeBoundaryDelta(k, epoch int, deaths []Death, preBatteries []float64, d *ClusterDelta) {
-	d.Cluster = k
-	d.Fingerprint = fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k))
-	d.Epoch = epoch + 1
-	d.Base = epoch
-	d.HasBatteries = rt.batteries != nil
-	d.DeadGaps = d.DeadGaps[:0]
-	d.BatteryIdx = d.BatteryIdx[:0]
-	d.BatteryVals = d.BatteryVals[:0]
-
-	victims := rt.scratchVictims[:0]
-	for _, death := range deaths {
-		victims = append(victims, death.Sensor)
-	}
-	// Battery deaths arrive ascending with the (at most one) fault death
-	// appended; a single insertion pass restores ascending order.
-	for i := 1; i < len(victims); i++ {
-		v, j := victims[i], i
-		for j > 0 && victims[j-1] > v {
-			victims[j] = victims[j-1]
-			j--
-		}
-		victims[j] = v
-	}
-	d.DeadGaps = appendGaps(d.DeadGaps, victims)
-	rt.scratchVictims = victims
-
-	if rt.batteries != nil {
-		prev := 0
-		for v, b := range rt.batteries[k] {
-			if b == preBatteries[v] {
-				continue
-			}
-			if len(d.BatteryIdx) == 0 {
-				d.BatteryIdx = append(d.BatteryIdx, v)
-			} else {
-				d.BatteryIdx = append(d.BatteryIdx, v-prev)
-			}
-			prev = v
-			d.BatteryVals = append(d.BatteryVals, b)
-		}
-	}
-}
-
-// importClusterDelta applies one cluster's incremental result delta to
-// the coordinator's books during a merge. The books must sit at the
-// delta's base boundary — which the barrier protocol guarantees: a
-// worker only runs epoch e after the coordinator committed boundary e.
-func (rt *Runtime) importClusterDelta(d ClusterDelta, wantEpoch int) error {
-	k := d.Cluster
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+	if !rt.has(k) {
 		return fmt.Errorf("field: %w: delta for unknown cluster %d", ErrShardMismatch, k)
 	}
-	c := rt.clusters[k]
-	if err := d.validate(c.Sensors(), rt.batteries != nil); err != nil {
+	if err := d.validate(rt.clusters[k].Sensors(), rt.batteries != nil); err != nil {
 		return err
 	}
-	if d.Epoch != wantEpoch {
-		return fmt.Errorf("field: %w: cluster %d delta is at epoch %d, want %d", ErrShardEpoch, k, d.Epoch, wantEpoch)
-	}
-	if d.Base != wantEpoch-1 && d.Base != DeltaBaseInitial {
-		return fmt.Errorf("field: %w: cluster %d delta has base %d, books are at %d",
-			ErrShardEpoch, k, d.Base, wantEpoch-1)
-	}
-	if want := fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)); d.Fingerprint != want {
+	if want := rt.fingerprint(k); d.Fingerprint != want {
 		return fmt.Errorf("field: %w: cluster %d is %s here, delta carries %s",
 			ErrShardMismatch, k, want, d.Fingerprint)
 	}
+	return nil
+}
 
-	decoded, err := decodeGaps(rt.scratchReach[:0], d.DeadGaps, 1, c.Sensors())
-	if err != nil {
-		return err
-	}
-	rt.scratchReach = decoded
-	victims := rt.scratchVictims[:0]
+// applyDelta installs a checked delta into its cluster's dead and
+// battery books. The books must sit at the delta's base: the initial
+// build state's deaths are a subset of anyone's, and an incremental
+// delta is applied only over its own base boundary.
+func (rt *Runtime) applyDelta(d *ClusterDelta) {
+	k := d.Cluster
+	s := &rt.slots[k]
+	decoded, _ := decodeGaps(s.reach[:0], d.DeadGaps, 1, rt.clusters[k].Sensors())
+	s.reach = decoded
+	victims := s.victims[:0]
 	for _, v := range decoded {
 		if !rt.dead[k][v] {
 			victims = append(victims, v)
 		}
 	}
+	s.victims = victims
 	if len(victims) > 0 {
 		rt.killBatch(k, victims)
 	}
-	rt.scratchVictims = victims
-
 	if d.HasBatteries {
 		if d.Base == DeltaBaseInitial {
 			for v := range rt.batteries[k] {
@@ -388,5 +255,65 @@ func (rt *Runtime) importClusterDelta(d ClusterDelta, wantEpoch int) error {
 			rt.batteries[k][cur] = d.BatteryVals[i]
 		}
 	}
+}
+
+// AdoptClusterDelta installs a handed-off cluster state on this runtime:
+// the per-cluster miniature of Resume. The delta must be self-contained
+// (Base == DeltaBaseInitial), fit this field, and move the cluster's
+// epoch forward or keep it; adopting the state a cluster is already at
+// is a no-op (determinism makes the states equal), so re-sends are safe.
+// The cluster's links catch up to the epoch's shadow revision when it
+// next runs.
+func (rt *Runtime) AdoptClusterDelta(d ClusterDelta) error {
+	if err := rt.checkDelta(&d); err != nil {
+		return err
+	}
+	k := d.Cluster
+	if d.Base != DeltaBaseInitial {
+		return fmt.Errorf("field: %w: cluster %d handoff has base %d, adoption needs the initial base",
+			ErrShardEpoch, k, d.Base)
+	}
+	s := &rt.slots[k]
+	if d.Epoch < s.epoch {
+		return fmt.Errorf("field: %w: cluster %d has completed %d epochs, cannot rewind to %d",
+			ErrShardEpoch, k, s.epoch, d.Epoch)
+	}
+	rt.applyDelta(&d)
+	s.epoch = d.Epoch
+	s.result = nil
 	return nil
+}
+
+// boundaryDelta builds the result delta for cluster k's epoch: new
+// deaths (the boundary's Death records, sorted ascending) and battery
+// levels that moved against the pre-churn copy in preBatteries.
+func (rt *Runtime) boundaryDelta(k, epoch int, deaths []Death, preBatteries []float64) *ClusterDelta {
+	d := &ClusterDelta{
+		Cluster:      k,
+		Fingerprint:  rt.fingerprint(k),
+		Epoch:        epoch + 1,
+		Base:         epoch,
+		HasBatteries: rt.batteries != nil,
+	}
+	s := &rt.slots[k]
+	victims := s.victims[:0]
+	for _, death := range deaths {
+		victims = append(victims, death.Sensor)
+	}
+	// Battery deaths arrive ascending with the (at most one) fault death
+	// appended; a single insertion pass restores ascending order.
+	for i := 1; i < len(victims); i++ {
+		v, j := victims[i], i
+		for j > 0 && victims[j-1] > v {
+			victims[j] = victims[j-1]
+			j--
+		}
+		victims[j] = v
+	}
+	d.DeadGaps = appendGaps(nil, victims)
+	s.victims = victims
+	if rt.batteries != nil {
+		d.appendBatteryDiff(rt.batteries[k], func(v int) float64 { return preBatteries[v] })
+	}
+	return d
 }

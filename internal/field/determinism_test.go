@@ -14,9 +14,9 @@ import (
 
 // buildChurnField builds a fresh (field, Config) pair with every churn
 // family armed: injected faults, battery depletion and shadowing shifts
-// on a log-distance model. Each call returns fresh topology and a fresh
-// propagation instance — churn mutates both in place, so determinism
-// runs must never share them.
+// on a log-distance model. Each call returns a fresh field and
+// propagation instance, as a worker process builds its own from a spec;
+// the runtime writes to neither.
 func buildChurnField() (*topo.Field, Config) {
 	prop := radio.NewLogDistance(3.5, 1)
 	cfg := topo.DefaultConfig(0, 0)
@@ -64,7 +64,7 @@ func snapshotJSON(t *testing.T, rt *Runtime) []byte {
 
 // TestDeterminismAcrossWorkers is the runtime's pinned contract: a churned
 // run with one worker and with eight produces byte-identical summaries
-// and snapshots. Run it under -race — it is also the shard pool's data
+// and snapshots. Run it under -race — it is also the cluster pool's data
 // race probe.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]byte, []byte) {

@@ -1,36 +1,44 @@
 // Package field is the multi-cluster field runtime: it promotes the
 // whole-deployment simulation from a sequential helper loop into a
-// first-class sharded engine. Clusters are grouped into shards by their
-// radio channel (the Section V-G coloring): clusters sharing a channel
-// serialize inside their shard — the token rotation of the paper — while
-// different channels run concurrently on a worker pool bounded by
-// exp.Options.Workers. The field advances in lockstep epochs; at every
-// epoch boundary a deterministic, seed-derived churn engine injects
-// faults (battery depletion through real energy accounting, relay death
-// through topo.Cluster.MarkFailed, shadowing shifts through
+// first-class epoch engine. The field advances in lockstep epochs. In an
+// epoch every cluster runs its duty cycles and then its share of the
+// epoch boundary, where a deterministic, seed-derived churn engine
+// injects faults (battery depletion through real energy accounting,
+// relay death through topo.Cluster.MarkFailed, shadowing shifts through
 // radio.Medium.Refresh) and the affected clusters re-plan, so stranded
 // sensors drop out while the field keeps delivering for survivors —
 // the paper's Fig. 7(c) longitudinal story extended to whole fields.
 //
+// There is one engine. RunShardEpoch runs a set of clusters on a pool
+// bounded by exp.Options.Workers and returns one ClusterResult each;
+// MergeEpoch folds a full set of results into the EpochReport, the
+// Summary and the field_* metrics. RunEpoch is RunShardEpoch over every
+// cluster followed by MergeEpoch; a distributed run (internal/dist) calls
+// RunShardEpoch on several worker processes and MergeEpoch on the
+// coordinator. The Section V-G channel coloring enters only through the
+// cycle arithmetic (cluster.TokenRotationCycle, cluster.ColoredCycle), so
+// the order clusters execute in affects no result.
+//
 // The runtime is deterministic by construction: an epoch is a closed
 // unit. Cluster runtimes are rebuilt at each epoch boundary from
 // (seed, epoch, cluster), every random draw is a pure hash of those
-// coordinates, and aggregation happens single-threaded in cluster-index
-// order after the shard barrier. A run with Workers=1 and Workers=8
-// therefore produces byte-identical summaries, and the epoch-boundary
-// Snapshot is sufficient state: serializing it, rebuilding the field and
-// resuming produces the same final summary as the uninterrupted run.
+// coordinates, each cluster owns its state (including its view of the
+// shadowing environment), and aggregation happens single-threaded in
+// cluster-index order after the pool's barrier. A run with Workers=1 and
+// Workers=8 therefore produces byte-identical summaries, and the
+// epoch-boundary Snapshot is sufficient state: serializing it, rebuilding
+// the field and resuming produces the same final summary as the
+// uninterrupted run.
 package field
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/exp"
+	"repro/internal/radio"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
@@ -47,8 +55,8 @@ type Churn struct {
 	FaultRate float64
 	// ShadowSigmaDB, when positive, shifts the radio environment every
 	// ShadowEvery epochs: a new deterministic per-link shadowing table
-	// (radio.HashShadow) is installed on the field's propagation model
-	// and every cluster's power matrix is refreshed. It requires the
+	// (radio.HashShadow) is installed on every cluster's copy of the
+	// propagation model and its link powers are refreshed. It requires the
 	// topology Config's Prop to be a *radio.LogDistance; with any other
 	// model shadow churn is silently inert (two-ray has no shadowing
 	// hook).
@@ -79,8 +87,7 @@ type Config struct {
 	BatteryJoules float64
 	// Energy is the model used for battery depletion and the Lifetime
 	// estimate. The zero value falls back to Params.Energy, then to
-	// energy.DefaultModel() — the hardcoded default the pre-runtime
-	// RunField helper used.
+	// energy.DefaultModel().
 	Energy energy.Model
 	// EpochCycles is the number of duty cycles each live cluster runs
 	// per epoch; 0 means 1.
@@ -90,11 +97,11 @@ type Config struct {
 	// Churn is the fault-injection configuration.
 	Churn Churn
 	// OnEpoch, when non-nil, is invoked once per completed epoch with
-	// that epoch's report, after the shard barrier and churn boundary,
-	// from the goroutine driving RunEpoch. The report is the same value
-	// appended to the Summary; callbacks must not retain it past the
-	// call if they mutate it. The hook is observational only — it cannot
-	// influence the run, so the determinism contract is unaffected.
+	// that epoch's report, from the goroutine calling MergeEpoch (directly
+	// or through RunEpoch). The report is the same value appended to the
+	// Summary; callbacks must not retain it past the call if they mutate
+	// it. The hook is observational only — it cannot influence the run,
+	// so the determinism contract is unaffected.
 	OnEpoch func(*EpochReport)
 }
 
@@ -241,94 +248,75 @@ func (s *Summary) FitsCycle(cycle time.Duration) bool {
 	return s.MaxColoredCycle() <= cycle
 }
 
-// Epoch is the full in-memory result of one epoch, including the
-// per-cluster summaries the compact Summary drops. The compatibility
-// wrapper builds the legacy cluster.FieldSummary from it.
-type Epoch struct {
-	Report EpochReport
-	// Summaries[k] is field cluster k's summary, nil for clusters that
-	// did not run (empty Voronoi cells).
-	Summaries []*cluster.Summary
-	// Unreachable[k] counts cluster k's sensors without a relaying path
-	// going into the epoch (dead or stranded).
-	Unreachable []int
-}
-
 // Runtime is a field simulation in progress. It is not safe for
-// concurrent use; the parallelism lives inside RunEpoch.
+// concurrent use; the parallelism lives inside RunShardEpoch.
 type Runtime struct {
 	f        *topo.Field
 	cfg      Config
 	em       energy.Model
 	colors   []int // per field cluster
 	channels int
-	shards   [][]int // shard -> ascending cluster indices, ordered by channel
+	indexes  []int // non-empty clusters, ascending
 
 	clusters  []*topo.Cluster // nil for empty clusters
 	batteries [][]float64     // remaining joules, [k][v], nil when disabled
 	dead      [][]bool        // [k][v]
-	epoch     int
-	shadowRev int
+	// epoch counts the epochs merged into the Summary.
+	epoch int
 
-	// planCaches[k] memoizes cluster k's routing plan across epoch
-	// boundaries, keyed by (connectivity revision, demand fingerprint):
-	// quiet epochs reuse the plan instead of re-solving the flow network.
-	// Each cache is only touched by the shard worker running cluster k, so
-	// no locking is needed; the plan itself is a pure function of the key,
-	// so hits cannot perturb the determinism contract.
-	planCaches []*routing.PlanCache
+	// slots[k] is cluster k's engine state. Only the goroutine running
+	// cluster k touches slot k (and rows k of batteries and dead), so the
+	// per-cluster pool needs no locking.
+	slots []clusterSlot
 
-	// Epoch scratch, reused across epochs so a steady-state epoch
-	// allocates nothing proportional to the cluster count. All of it is
-	// touched only between RunEpoch's barrier and its return (or inside
-	// churn), single-threaded.
-	scratchOuts       []clusterEpochOut
-	scratchChanged    []bool
-	scratchVictims    []int
-	scratchReach      []int
-	scratchRevs       []uint64
+	// MergeEpoch's indexing and cycle scratch, and RunShardEpoch's sorted
+	// shard copy; single-threaded, reused across epochs.
+	scratchSorted     []int
+	scratchByK        []*ClusterResult
+	scratchOrdered    []*ClusterResult
 	scratchDuties     []time.Duration
 	scratchDutyColors []int
-	// scratchPreBatt snapshots one cluster's pre-churn batteries so the
-	// boundary delta can list only the levels the churn moved.
-	scratchPreBatt []float64
-	// runnerScratch[k] is cluster k's reusable runner-build state
-	// (oracle, routing workspace, polling buffers), created on first use.
-	// Only the worker running cluster k touches its slot, so the fan-out
-	// needs no locking — same discipline as planCaches.
-	runnerScratch []*cluster.RunnerScratch
-	// scratchSorted is RunShardEpoch's sorted shard copy; scratchMergeByK
-	// and scratchOrdered are MergeEpoch's indexing state. All single-
-	// threaded per their callers.
-	scratchSorted   []int
-	scratchMergeByK map[int]*ClusterResult
-	scratchOrdered  []*ClusterResult
-
-	// lastRadioRefreshed remembers the field-wide cumulative refreshed-
-	// links counter at the previous emit, so the radio_refresh_links_total
-	// counter advances by per-epoch deltas.
-	lastRadioRefreshed uint64
-
-	// Shard mode (see shard.go): per-cluster epoch bookkeeping for a
-	// worker process that owns a subset of the field's clusters. nil until
-	// the first RunShardEpoch/AdoptCluster call; once armed, the whole-
-	// field RunEpoch path is rejected — the two drive the same cluster
-	// state under incompatible invariants.
-	shardEpochs  []int            // per cluster: completed epochs
-	shardRevs    []int            // per cluster: shadow revision its links reflect
-	shardTable   int              // shadow revision installed on the shared model
-	shardResults []*ClusterResult // per cluster: last result, for idempotent re-query
 
 	sum Summary
+}
+
+// clusterSlot is one cluster's engine state.
+type clusterSlot struct {
+	// prop is the cluster's own copy of the caller's log-distance model
+	// (nil for other models): the shadow view installShadow writes.
+	prop *radio.LogDistance
+	// cache memoizes the cluster's routing plan across epoch boundaries,
+	// keyed by (connectivity revision, demand fingerprint): quiet epochs
+	// reuse the plan instead of re-solving the flow network. The plan is a
+	// pure function of the key, so hits cannot perturb determinism.
+	cache *routing.PlanCache
+	// runner is the reusable runner-build state (oracle, routing
+	// workspace, polling buffers), created on first use.
+	runner *cluster.RunnerScratch
+	// epoch counts the epochs the cluster has completed; rev is the
+	// shadow revision its materialized links reflect.
+	epoch, rev int
+	// result is the cluster's last result, kept for idempotent re-query.
+	result *ClusterResult
+	// fingerprint caches the cluster's "%016x" geometry hash.
+	fingerprint string
+	// Churn and delta scratch.
+	victims, reach []int
+	preBatt        []float64
+	// refreshed is the medium's refreshed-links counter at the last radio
+	// emit, so radio_refresh_links_total advances by per-epoch deltas.
+	refreshed uint64
 }
 
 // PlanCache returns cluster k's routing plan cache (nil for empty
 // clusters) — its Hits/Misses counters are the cache's ground truth and
 // what the tests assert on.
-func (rt *Runtime) PlanCache(k int) *routing.PlanCache { return rt.planCaches[k] }
+func (rt *Runtime) PlanCache(k int) *routing.PlanCache { return rt.slots[k].cache }
 
 // New builds a runtime over the field. The field's clusters are
-// materialized once; churn mutates them in place across epochs.
+// materialized once; churn mutates them in place across epochs. Each
+// cluster gets its own copy of a log-distance propagation model, so the
+// caller's model is never written.
 func New(f *topo.Field, cfg Config) (*Runtime, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -346,13 +334,20 @@ func New(f *topo.Field, cfg Config) (*Runtime, error) {
 	}
 	rt.clusters = make([]*topo.Cluster, len(f.Heads))
 	rt.dead = make([][]bool, len(f.Heads))
-	rt.planCaches = make([]*routing.PlanCache, len(f.Heads))
-	rt.runnerScratch = make([]*cluster.RunnerScratch, len(f.Heads))
+	rt.slots = make([]clusterSlot, len(f.Heads))
 	if cfg.BatteryJoules > 0 {
 		rt.batteries = make([][]float64, len(f.Heads))
 	}
+	ld, _ := cfg.Topo.Prop.(*radio.LogDistance)
 	for k := range f.Heads {
-		c, err := f.BuildCluster(k, cfg.Topo)
+		tc := cfg.Topo
+		var prop *radio.LogDistance
+		if ld != nil {
+			cp := *ld
+			prop = &cp
+			tc.Prop = prop
+		}
+		c, err := f.BuildCluster(k, tc)
 		if err != nil {
 			return nil, err
 		}
@@ -361,8 +356,9 @@ func New(f *topo.Field, cfg Config) (*Runtime, error) {
 			continue
 		}
 		rt.clusters[k] = c
+		rt.indexes = append(rt.indexes, k)
 		rt.dead[k] = make([]bool, n+1)
-		rt.planCaches[k] = &routing.PlanCache{}
+		rt.slots[k] = clusterSlot{prop: prop, cache: &routing.PlanCache{}}
 		if rt.batteries != nil {
 			rt.batteries[k] = make([]float64, n+1)
 			for v := 1; v <= n; v++ {
@@ -374,29 +370,7 @@ func New(f *topo.Field, cfg Config) (*Runtime, error) {
 	}
 	rt.sum.Channels = channels
 	rt.sum.EpochCycles = cfg.epochCycles()
-	rt.buildShards()
 	return rt, nil
-}
-
-// buildShards groups the non-empty clusters by channel color: one shard
-// per color in ascending color order, ascending cluster index within.
-func (rt *Runtime) buildShards() {
-	byColor := make(map[int][]int)
-	for k, c := range rt.clusters {
-		if c == nil {
-			continue
-		}
-		byColor[rt.colors[k]] = append(byColor[rt.colors[k]], k)
-	}
-	channels := make([]int, 0, len(byColor))
-	for ch := range byColor {
-		channels = append(channels, ch)
-	}
-	sort.Ints(channels)
-	rt.shards = rt.shards[:0]
-	for _, ch := range channels {
-		rt.shards = append(rt.shards, byColor[ch])
-	}
 }
 
 // Epoch returns the index of the next epoch to run (equivalently, the
@@ -420,260 +394,25 @@ func (rt *Runtime) epochSeed(epoch, k int) int64 {
 	return int64(hashMix(uint64(rt.cfg.Params.Seed), uint64(epoch), uint64(k)+0x5eed))
 }
 
-// live returns cluster k's reachable, powered sensor count.
-func (rt *Runtime) live(k int) int {
-	c := rt.clusters[k]
-	if c == nil {
-		return 0
-	}
-	return c.ReachableCount()
-}
-
-// clusterEpochOut is one worker's per-cluster product, aggregated
-// single-threaded after the barrier.
-type clusterEpochOut struct {
-	summary     *cluster.Summary
-	unreachable int
-	live        int
-	// energyUse[v] is sensor v's joules drawn this epoch (depletion).
-	energyUse []float64
-	// cacheHit records whether the routing plan came from the plan cache;
-	// on a miss, planSolves/planAugments carry the fresh plan's solver
-	// stats for the routing_* counters.
-	cacheHit     bool
-	planSolves   int
-	planAugments int
-	err          error
-}
-
-// runClusterEpoch executes cluster k's duty cycles for one epoch into
-// out. Shared between RunEpoch's in-process shard fan-out and the
-// distributed shard-scoped path (RunShardEpoch): everything it does is a
-// pure function of (config, cluster state, epoch, k) plus the plan
-// cache, and it only touches cluster k's state, so concurrent calls on
-// different clusters are safe.
-func (rt *Runtime) runClusterEpoch(o exp.Options, epoch, k int, out *clusterEpochOut) {
-	c := rt.clusters[k]
-	if c == nil {
-		return // empty Voronoi cell: no head cycle to run
-	}
-	cycles := rt.cfg.epochCycles()
-	// Dark clusters (no live reachable sensor) still run: the head
-	// keeps broadcasting its wake/sleep cycle whether or not anyone
-	// answers, exactly as the retired sequential helper did.
-	out.live = rt.live(k)
-	pk := rt.cfg.Params
-	pk.Seed = rt.epochSeed(epoch, k)
-	pc := rt.planCaches[k]
-	misses0 := pc.Misses
-	scr := rt.runnerScratch[k]
-	if scr == nil {
-		scr = &cluster.RunnerScratch{}
-		rt.runnerScratch[k] = scr
-	}
-	r, err := cluster.NewRunnerScratch(c, pk, pc, scr)
-	if err != nil {
-		out.err = fmt.Errorf("field: cluster %d epoch %d: %w", k, epoch, err)
-		return
-	}
-	out.cacheHit = pc.Misses == misses0
-	if !out.cacheHit {
-		out.planSolves = r.Plan.Solves
-		out.planAugments = r.Plan.AugmentingPaths
-	}
-	r.Obs = o.Obs
-	out.unreachable = len(r.Unreachable)
-	s, err := r.Run(cycles)
-	if err != nil {
-		out.err = fmt.Errorf("field: cluster %d epoch %d: %w", k, epoch, err)
-		return
-	}
-	out.summary = s
-	if rt.batteries != nil {
-		out.energyUse = epochEnergy(rt.em, s, cycles)
-	}
-}
-
-// RunEpoch advances the field one epoch: every live cluster runs
-// Config.EpochCycles duty cycles (sharded by channel, workers bounded by
-// o), then the churn boundary injects faults and re-plans. The returned
-// Epoch carries the full per-cluster summaries; the compact row is also
-// appended to the runtime's Summary.
-func (rt *Runtime) RunEpoch(o exp.Options) (*Epoch, error) {
-	if rt.shardEpochs != nil {
-		return nil, fmt.Errorf("field: RunEpoch on a shard-mode runtime")
-	}
-	epoch := rt.epoch
-	p := rt.cfg.Params
-	cycles := rt.cfg.epochCycles()
-	if rt.scratchOuts == nil {
-		rt.scratchOuts = make([]clusterEpochOut, len(rt.clusters))
-	}
-	outs := rt.scratchOuts
-	for i := range outs {
-		outs[i] = clusterEpochOut{}
-	}
-
-	runCluster := func(k int) {
-		rt.runClusterEpoch(o, epoch, k, &outs[k])
-	}
-
-	// Shard fan-out: same-channel clusters serialize (token rotation),
-	// different channels run concurrently. Per-cluster outputs land in
-	// index-addressed slots, so worker scheduling cannot reorder them.
-	workers := o.WorkerCount()
-	if workers > len(rt.shards) {
-		workers = len(rt.shards)
-	}
-	runShard := func(si int) {
-		start := time.Now()
-		for _, k := range rt.shards[si] {
-			runCluster(k)
-		}
-		if o.Obs != nil {
-			o.Obs.Observe(seriesShardSeconds(rt.shardChannel(si)), time.Since(start).Seconds())
-		}
-	}
-	if workers <= 1 {
-		for si := range rt.shards {
-			runShard(si)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range next {
-					runShard(si)
-				}
-			}()
-		}
-		for si := range rt.shards {
-			next <- si
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Barrier passed: everything below is single-threaded, in cluster
-	// index order, so float aggregation is order-stable.
-	for k := range outs {
-		if outs[k].err != nil {
-			return nil, outs[k].err
-		}
-	}
-	ep := &Epoch{
-		Report:      EpochReport{Epoch: epoch},
-		Summaries:   make([]*cluster.Summary, len(rt.clusters)),
-		Unreachable: make([]int, len(rt.clusters)),
-	}
-	duties := rt.scratchDuties[:0]
-	dutyColors := rt.scratchDutyColors[:0]
-	for k := range rt.clusters {
-		out := &outs[k]
-		ep.Unreachable[k] = out.unreachable
-		if out.summary == nil {
-			continue
-		}
-		ep.Summaries[k] = out.summary
-		s := out.summary
-		ep.Report.Clusters = append(ep.Report.Clusters, ClusterEpoch{
-			Cluster:   k,
-			Channel:   rt.colors[k],
-			Live:      out.live,
-			Offered:   s.Offered,
-			Delivered: s.Delivered,
-			Retries:   s.Retries,
-			MeanDuty:  s.MeanDuty,
-			Fits:      s.AllFit,
-		})
-		duties = append(duties, s.MeanDuty)
-		dutyColors = append(dutyColors, rt.colors[k])
-		rt.sum.OfferedTotal += s.Offered
-		rt.sum.DeliveredTotal += s.Delivered
-		rt.sum.RetriesTotal += s.Retries
-	}
-	ep.Report.TokenCycle = cluster.TokenRotationCycle(duties)
-	colored, err := cluster.ColoredCycle(duties, dutyColors)
+// RunEpoch advances the field one epoch: every cluster runs as one local
+// shard (RunShardEpoch, on at most o.WorkerCount() goroutines) and
+// MergeEpoch folds the results into the Summary, exactly as a
+// coordinator merges a distributed run. The returned report is the row
+// appended to the Summary.
+func (rt *Runtime) RunEpoch(o exp.Options) (*EpochReport, error) {
+	results, err := rt.RunShardEpoch(o, rt.epoch, rt.indexes)
 	if err != nil {
 		return nil, err
 	}
-	ep.Report.ColoredCycle = colored
-	rt.scratchDuties, rt.scratchDutyColors = duties, dutyColors
-
-	// The Fig. 7(c) steady-state lifetime estimate comes from the first
-	// epoch the field ran, before churn reshapes the load.
-	if epoch == 0 && rt.cfg.BatteryJoules > 0 {
-		rt.sum.Lifetime = rt.lifetimeEstimate(ep)
-	}
-
-	rt.churn(epoch, outs, &ep.Report)
-
-	rt.epoch++
-	rt.sum.Epochs = rt.epoch
-	rt.sum.Deaths = append(rt.sum.Deaths, ep.Report.Deaths...)
-	rt.sum.StrandedFinal = ep.Report.Stranded
-	rt.sum.ReplansTotal += ep.Report.Replans
-	if rt.sum.FirstDeath == 0 && len(ep.Report.Deaths) > 0 {
-		rt.sum.FirstDeath = time.Duration(rt.epoch*cycles) * p.Cycle
-	}
-	rt.sum.Reports = append(rt.sum.Reports, ep.Report)
-	if o.Obs != nil {
-		var ps plannerStats
-		for k := range outs {
-			if outs[k].summary == nil {
-				continue
-			}
-			if outs[k].cacheHit {
-				ps.cacheHits++
-			} else {
-				ps.cacheMisses++
-				ps.solves += outs[k].planSolves
-				ps.augments += outs[k].planAugments
-			}
-		}
-		rt.emit(&ep.Report, ps, o.Obs)
-	}
-	if rt.cfg.OnEpoch != nil {
-		rt.cfg.OnEpoch(&ep.Report)
-	}
-	return ep, nil
+	return rt.MergeEpoch(o.Obs, results)
 }
 
-// lifetimeEstimate is the min over running clusters (with at least one
-// live sensor) of the cluster's first-death time at the configured
-// battery — the legacy RunField Lifetime.
-func (rt *Runtime) lifetimeEstimate(ep *Epoch) time.Duration {
-	var min time.Duration
-	for k, s := range ep.Summaries {
-		if s == nil {
-			continue
-		}
-		c := rt.clusters[k]
-		if ep.Unreachable[k] >= c.Sensors() {
-			continue
-		}
-		lt := s.Lifetime(rt.em, rt.cfg.BatteryJoules)
-		if min == 0 || lt < min {
-			min = lt
-		}
-	}
-	return min
-}
-
-// epochEnergy integrates a cluster summary's mean per-cycle profiles over
-// the epoch: sensor v's battery drain in joules.
-func epochEnergy(m energy.Model, s *cluster.Summary, cycles int) []float64 {
-	out := make([]float64, len(s.MeanProfiles))
-	for v := 1; v < len(s.MeanProfiles); v++ {
-		p := s.MeanProfiles[v]
-		perCycle := m.Energy(energy.Tx, p.InTx) + m.Energy(energy.Rx, p.InRx) +
-			m.Energy(energy.Idle, p.InIdle) + m.Energy(energy.Sleep, p.SleepTime())
-		out[v] = perCycle * float64(cycles)
-	}
-	return out
+// sensorEnergy integrates one sensor's mean per-cycle profile over an
+// epoch of the given cycles: its battery drain in joules.
+func sensorEnergy(m energy.Model, p energy.CycleProfile, cycles int) float64 {
+	perCycle := m.Energy(energy.Tx, p.InTx) + m.Energy(energy.Rx, p.InRx) +
+		m.Energy(energy.Idle, p.InIdle) + m.Energy(energy.Sleep, p.SleepTime())
+	return perCycle * float64(cycles)
 }
 
 // Run executes epochs until Config.Epochs is reached, checking the

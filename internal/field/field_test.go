@@ -12,20 +12,35 @@ import (
 	"repro/internal/energy"
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/radio"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
+// legacyField is the retired sequential helper's result: the field's
+// per-cluster summaries and its cycle arithmetic.
+type legacyField struct {
+	Clusters   int
+	Channels   int
+	Colors     []int
+	PerCluster []*cluster.Summary
+	// Stranded counts sensors with no multi-hop path to their head.
+	Stranded                 int
+	TokenCycle, ColoredCycle time.Duration
+	Lifetime                 time.Duration
+}
+
 // legacyRunField is the retired sequential cluster.RunField loop, kept
-// verbatim as the regression oracle: the compatibility wrapper must
-// reproduce it bit for bit at churn 0.
+// verbatim as the regression oracle: a one-epoch, churn-free runtime
+// must reproduce it bit for bit.
 func legacyRunField(f *topo.Field, cfg topo.Config, p cluster.Params, cycles int,
-	interferenceRange, batteryJoules float64) (*cluster.FieldSummary, error) {
+	interferenceRange, batteryJoules float64) (*legacyField, error) {
 	if cycles < 1 {
 		return nil, fmt.Errorf("cluster: need at least one cycle")
 	}
 	colors, channels := f.ChannelAssignment(interferenceRange)
 	em := energy.DefaultModel()
-	out := &cluster.FieldSummary{Channels: channels}
+	out := &legacyField{Channels: channels}
 	var duties []time.Duration
 	var dutyColors []int
 	for k := range f.Heads {
@@ -66,6 +81,10 @@ func legacyRunField(f *topo.Field, cfg topo.Config, p cluster.Params, cycles int
 	return out, nil
 }
 
+// TestRunFieldMatchesLegacy holds a one-epoch, churn-free run of the
+// engine against the retired sequential loop: every cluster row, the
+// coloring, both field cycles, the lifetime estimate and the stranded
+// count.
 func TestRunFieldMatchesLegacy(t *testing.T) {
 	for _, loss := range []float64{0, 0.02} {
 		f := topo.BuildField(11, 300, 5, 80)
@@ -79,25 +98,57 @@ func TestRunFieldMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunField(f, cfg, p, 2, 80, 100)
+		rt, err := New(f, Config{
+			Topo:              cfg,
+			Params:            p,
+			InterferenceRange: 80,
+			BatteryJoules:     100,
+			Energy:            energy.DefaultModel(),
+			EpochCycles:       2,
+			Epochs:            1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("loss %v: wrapper diverges from the legacy loop:\n got %+v\nwant %+v", loss, got, want)
+		got, err := rt.Run(exp.Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got.Clusters == 0 {
 			t.Fatal("no clusters simulated")
 		}
+		rep := got.Reports[0]
+		if got.Clusters != want.Clusters || len(rep.Clusters) != want.Clusters {
+			t.Fatalf("loss %v: %d clusters, %d rows, legacy %d", loss, got.Clusters, len(rep.Clusters), want.Clusters)
+		}
+		for i, row := range rep.Clusters {
+			s := want.PerCluster[i]
+			if row.Offered != s.Offered || row.Delivered != s.Delivered || row.Retries != s.Retries ||
+				row.MeanDuty != s.MeanDuty || row.Fits != s.AllFit {
+				t.Fatalf("loss %v: cluster %d row %+v diverges from legacy summary %+v", loss, row.Cluster, row, s)
+			}
+		}
+		if !reflect.DeepEqual(got.Colors, want.Colors) || got.Channels != want.Channels {
+			t.Fatalf("loss %v: colors %v over %d channels, legacy %v over %d",
+				loss, got.Colors, got.Channels, want.Colors, want.Channels)
+		}
+		if rep.TokenCycle != want.TokenCycle || rep.ColoredCycle != want.ColoredCycle {
+			t.Fatalf("loss %v: cycles %v/%v, legacy %v/%v",
+				loss, rep.TokenCycle, rep.ColoredCycle, want.TokenCycle, want.ColoredCycle)
+		}
+		if got.Lifetime != want.Lifetime {
+			t.Fatalf("loss %v: lifetime %v, legacy %v", loss, got.Lifetime, want.Lifetime)
+		}
+		if len(got.Deaths) != 0 || got.StrandedFinal != want.Stranded {
+			t.Fatalf("loss %v: %d deaths, %d stranded; legacy 0 deaths, %d stranded",
+				loss, len(got.Deaths), got.StrandedFinal, want.Stranded)
+		}
 	}
 }
 
-func TestRunFieldValidation(t *testing.T) {
+func TestNewValidation(t *testing.T) {
 	f := topo.BuildField(3, 200, 2, 10)
 	cfg := topo.DefaultConfig(0, 0)
-	if _, err := RunField(f, cfg, cluster.DefaultParams(), 0, 80, 100); err == nil {
-		t.Fatal("zero cycles should error")
-	}
 	if _, err := New(f, Config{Topo: cfg, Params: cluster.DefaultParams()}); err == nil {
 		t.Fatal("non-positive interference range should error")
 	}
@@ -131,6 +182,23 @@ func TestEmptyField(t *testing.T) {
 	}
 	if s.MaxColoredCycle() != 0 || !s.FitsCycle(0) {
 		t.Fatal("empty field must fit the zero cycle")
+	}
+}
+
+func TestSummaryFitsCycle(t *testing.T) {
+	s := &Summary{Reports: []EpochReport{{ColoredCycle: 4 * time.Millisecond}, {ColoredCycle: 10 * time.Millisecond}}}
+	if !s.FitsCycle(10 * time.Millisecond) {
+		t.Fatal("field must fit exactly its worst colored cycle")
+	}
+	if !s.FitsCycle(time.Second) {
+		t.Fatal("field must fit any longer cycle")
+	}
+	if s.FitsCycle(10*time.Millisecond - time.Nanosecond) {
+		t.Fatal("field cannot fit below its worst colored cycle")
+	}
+	empty := &Summary{}
+	if !empty.FitsCycle(0) {
+		t.Fatal("an empty field fits the zero cycle")
 	}
 }
 
@@ -199,6 +267,22 @@ func TestBatteryDepletionKills(t *testing.T) {
 	}
 }
 
+// fieldCounters reads the field_* and planner series MergeEpoch emits.
+func fieldCounters(reg *obs.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, name := range []string{MetricEpochs, MetricReplans, seriesDeathBattery, seriesDeathFault,
+		MetricPlanCacheHits, MetricPlanCacheMisses, routing.MetricSolves, routing.MetricAugmentPaths} {
+		out[name] = reg.Counter(name, "").Value()
+	}
+	for _, name := range []string{MetricStranded, MetricClustersLive} {
+		out[name] = reg.Gauge(name, "").Value()
+	}
+	return out
+}
+
+// TestFieldMetricsEmitted pins the field series against the Summary, and
+// pins that a distributed run (worker shards merged by MergeEpoch) emits
+// the same field_* and planner values as the local Run.
 func TestFieldMetricsEmitted(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg)
@@ -224,12 +308,35 @@ func TestFieldMetricsEmitted(t *testing.T) {
 	if deaths != float64(len(s.Deaths)) {
 		t.Fatalf("death counters = %v, want %d", deaths, len(s.Deaths))
 	}
-	// Every shard observed its wall clock every epoch.
-	var shardObs uint64
-	for ch := 0; ch < 6; ch++ {
-		shardObs += reg.Histogram(seriesShardSeconds(ch), "", nil).Count()
+	local := fieldCounters(reg)
+	if local[routing.MetricSolves] == 0 {
+		t.Fatal("a churned run reported no planner solves")
 	}
-	if want := uint64(s.Epochs * len(rt.shards)); shardObs != want {
-		t.Fatalf("shard histogram observations = %d, want %d", shardObs, want)
+
+	distReg := obs.NewRegistry()
+	workers := []*Runtime{newShardWorker(t), newShardWorker(t)}
+	runDistributed(t, workers, func(k int) int { return k % 2 }, distReg.Observer())
+	if dist := fieldCounters(distReg); !reflect.DeepEqual(dist, local) {
+		t.Fatalf("distributed run emits %v, local run %v", dist, local)
+	}
+}
+
+// TestCallerPropUntouched: the runtime copies the log-distance model per
+// cluster, so a shadow-churn run never writes the caller's model.
+func TestCallerPropUntouched(t *testing.T) {
+	f, cfg := buildChurnField()
+	ld := cfg.Topo.Prop.(*radio.LogDistance)
+	rt, err := New(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(exp.Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if rt.revForEpoch(rt.Epoch()) == 0 {
+		t.Fatal("fixture never shifted the shadowing")
+	}
+	if ld.ShadowDB != nil {
+		t.Fatal("shadow churn wrote the caller's propagation model")
 	}
 }

@@ -1,8 +1,6 @@
 package field
 
 import (
-	"strconv"
-
 	"repro/internal/obs"
 	"repro/internal/routing"
 )
@@ -22,9 +20,6 @@ const (
 	MetricDeaths = "field_deaths_total"
 	// MetricClustersLive gauges clusters that ran in the latest epoch.
 	MetricClustersLive = "field_clusters_live"
-	// MetricShardSeconds is a histogram of per-epoch shard wall-clock,
-	// labeled channel="<color>".
-	MetricShardSeconds = "field_shard_seconds"
 	// MetricPlanCacheHits counts epoch-boundary runner builds that reused
 	// a cached routing plan; MetricPlanCacheMisses counts the ones that
 	// had to re-solve the flow network (topology or demand changed, or
@@ -46,20 +41,9 @@ var (
 	seriesDeathFault   = obs.Series(MetricDeaths, "cause", "fault")
 )
 
-// seriesShardSeconds names a channel's wall-clock histogram.
-func seriesShardSeconds(channel int) string {
-	return obs.Series(MetricShardSeconds, "channel", strconv.Itoa(channel))
-}
-
-// shardChannel returns the radio channel shard si serializes.
-func (rt *Runtime) shardChannel(si int) int {
-	return rt.colors[rt.shards[si][0]]
-}
-
 // RegisterMetrics pre-registers the field series in reg with help text.
 // As everywhere in the repo, emission works without it; registering makes
-// the exposition self-describing. Channel-labeled shard histograms for
-// channels 0..5 are pre-registered (the coloring never uses more than 6).
+// the exposition self-describing.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.Counter(MetricEpochs, "completed field epochs")
 	reg.Counter(MetricReplans, "per-cluster re-planning events after churn")
@@ -71,41 +55,30 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.Counter(MetricPlanCacheMisses, "epoch-boundary runner builds that re-solved the routing flow network")
 	reg.Gauge(MetricRadioPairs, "directed link powers materialized across all cluster radio mediums")
 	reg.Counter(MetricRadioRefreshLinks, "link power recomputations across all cluster radio mediums")
-	for ch := 0; ch < 6; ch++ {
-		reg.Histogram(seriesShardSeconds(ch), "per-epoch shard wall-clock in seconds", nil)
-	}
 }
 
-// plannerStats aggregates one epoch's routing-planner work, collected
-// single-threaded after the shard barrier.
-type plannerStats struct {
-	cacheHits, cacheMisses int
-	solves, augments       int
-}
-
-// emit publishes one epoch report. Called once per epoch, after the
-// barrier, only when an observer is configured.
-func (rt *Runtime) emit(rep *EpochReport, ps plannerStats, o obs.Observer) {
+// emitEpoch publishes one merged epoch: the field_* series and the
+// planner's work as the clusters' results report it. MergeEpoch calls it
+// for local and distributed runs alike, so both emit the same values.
+func emitEpoch(rep *EpochReport, results []*ClusterResult, o obs.Observer) {
 	o.Add(MetricEpochs, 1)
 	o.Add(MetricReplans, float64(rep.Replans))
 	o.Set(MetricStranded, float64(rep.Stranded))
 	o.Set(MetricClustersLive, float64(len(rep.Clusters)))
-	o.Add(MetricPlanCacheHits, float64(ps.cacheHits))
-	o.Add(MetricPlanCacheMisses, float64(ps.cacheMisses))
-	o.Add(routing.MetricSolves, float64(ps.solves))
-	o.Add(routing.MetricAugmentPaths, float64(ps.augments))
-	var pairs, refreshed uint64
-	for _, c := range rt.clusters {
-		if c == nil {
-			continue
+	var hits, misses, solves, augments int
+	for _, r := range results {
+		if r.CacheHit {
+			hits++
+		} else {
+			misses++
+			solves += r.Solves
+			augments += r.Augments
 		}
-		st := c.Med.Stats()
-		pairs += uint64(st.Pairs)
-		refreshed += st.Refreshed
 	}
-	o.Set(MetricRadioPairs, float64(pairs))
-	o.Add(MetricRadioRefreshLinks, float64(refreshed-rt.lastRadioRefreshed))
-	rt.lastRadioRefreshed = refreshed
+	o.Add(MetricPlanCacheHits, float64(hits))
+	o.Add(MetricPlanCacheMisses, float64(misses))
+	o.Add(routing.MetricSolves, float64(solves))
+	o.Add(routing.MetricAugmentPaths, float64(augments))
 	for _, d := range rep.Deaths {
 		if d.Cause == "battery" {
 			o.Add(seriesDeathBattery, 1)
@@ -113,4 +86,19 @@ func (rt *Runtime) emit(rep *EpochReport, ps plannerStats, o obs.Observer) {
 			o.Add(seriesDeathFault, 1)
 		}
 	}
+}
+
+// emitRadio publishes the radio_* series over the given clusters'
+// mediums. RunShardEpoch calls it after its pool, in the process that
+// holds the mediums.
+func (rt *Runtime) emitRadio(ks []int, o obs.Observer) {
+	var pairs, refreshed uint64
+	for _, k := range ks {
+		st := rt.clusters[k].Med.Stats()
+		pairs += uint64(st.Pairs)
+		refreshed += st.Refreshed - rt.slots[k].refreshed
+		rt.slots[k].refreshed = st.Refreshed
+	}
+	o.Set(MetricRadioPairs, float64(pairs))
+	o.Add(MetricRadioRefreshLinks, float64(refreshed))
 }

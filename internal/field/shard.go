@@ -1,40 +1,41 @@
 package field
 
-// Shard mode: the distributed half of the field runtime. A worker
-// process builds the same (field, Config) pair as the coordinator —
-// specs are pure data, the deployment is validated by fingerprint — and
-// then advances only the clusters it owns, one epoch at a time, through
-// RunShardEpoch. Because an epoch is a closed unit and every churn draw
-// is a pure hash of (seed, epoch, cluster), a cluster's trajectory is
-// independent of which process runs it; the coordinator re-assembles the
-// per-cluster results into the exact aggregate RunEpoch would have
-// produced (MergeEpoch), so the distributed Summary and Snapshot are
+// The epoch engine. RunShardEpoch advances a set of clusters (a shard:
+// every cluster for RunEpoch, a worker's share in a distributed run)
+// through one epoch; MergeEpoch folds one epoch's results for every
+// cluster into the report, the Summary and the metrics. Because an epoch
+// is a closed unit and every churn draw is a pure hash of (seed, epoch,
+// cluster), a cluster's trajectory is independent of which process — or
+// which goroutine — runs it, so a distributed Summary and Snapshot are
 // byte-identical to a single-process run at any worker count.
 //
-// The one piece of shared state clusters do not own is the radio
-// environment: the shadowing table lives on the propagation model all of
-// a process's clusters share. Shard mode therefore runs its clusters
-// sequentially (the parallelism is the workers) and tracks, per cluster,
-// which shadow revision its materialized links reflect; before a cluster
-// runs, the table for its epoch's revision is installed and the cluster
-// refreshed if it is behind. The table is a pure function of (churn
-// seed, revision), so flipping between revisions is lossless.
+// Each cluster owns all the state its epoch touches: its topology, its
+// battery and death rows, its plan cache and runner scratch, its churn
+// scratch, and its copy of the log-distance model, which carries the
+// shadowing table. The table for revision r is a pure function of
+// (churn seed, r); a cluster records which revision its links reflect
+// and catches up with one refresh before it runs, so a fresh adoptee or
+// a resumed runtime needs no history. That ownership is what lets
+// RunShardEpoch run its clusters on a pool.
 //
-// Handoff is a per-cluster miniature of Resume: ClusterState carries who
-// is dead and the remaining batteries; AdoptCluster re-applies the
-// deaths (order-independent power zeroings), restores the batteries and
-// refreshes the cluster at its epoch's shadow revision. The adopting
-// worker then continues the cluster's trajectory exactly where the lost
-// worker left it.
+// Handoff is a per-cluster miniature of Resume: an initial-base
+// ClusterDelta (delta.go) carries who is dead and the remaining
+// batteries; AdoptClusterDelta re-applies the deaths, restores the
+// batteries and moves the cluster's epoch forward. The adopting worker
+// then continues the cluster's trajectory exactly where the lost worker
+// left it.
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/exp"
+	"repro/internal/obs"
 )
 
 // Sentinel errors for the shard protocol. Wrapped, match with errors.Is.
@@ -48,38 +49,17 @@ var (
 	ErrShardMismatch = errors.New("shard state does not match cluster")
 )
 
-// ClusterState is one cluster's epoch-boundary checkpoint — the handoff
-// unit of the distributed runtime, and a per-cluster miniature of
-// Snapshot: together with the (field, Config) pair, it is sufficient for
-// any process to reconstruct the cluster and continue its trajectory.
-type ClusterState struct {
-	// Cluster is the field cluster index.
-	Cluster int `json:"cluster"`
-	// Fingerprint hashes the cluster's geometry
-	// (topo.Field.ClusterFingerprint, "%016x"); adoption and merge reject
-	// state from a different deployment.
-	Fingerprint string `json:"fingerprint"`
-	// Epoch is the number of epochs this cluster has completed.
-	Epoch int `json:"epoch"`
-	// Dead lists the cluster's dead sensors, ascending.
-	Dead []int `json:"dead"`
-	// Batteries holds remaining joules per node (index 0 is the head),
-	// nil when depletion is disabled.
-	Batteries []float64 `json:"batteries,omitempty"`
-}
-
 // ClusterResult is one cluster's product for one epoch: the report row,
-// the churn that closed the epoch, and the boundary state afterward.
-// MergeEpoch consumes exactly these — they carry everything RunEpoch's
-// single-process aggregation reads from a cluster.
+// the churn that closed the epoch, the planner's work, and the boundary
+// state afterward. MergeEpoch consumes exactly these.
 type ClusterResult struct {
 	// Epoch is the epoch this result is for.
 	Epoch int `json:"epoch"`
 	// Row is the compact per-epoch report row.
 	Row ClusterEpoch `json:"row"`
 	// Deaths at this epoch's boundary, battery deaths (ascending by
-	// sensor) before the injected fault — the order the single-process
-	// boundary records them in.
+	// sensor) before the injected fault — the order the merged report
+	// records them in.
 	Deaths []Death `json:"deaths,omitempty"`
 	// Stranded counts the cluster's powered sensors without a relaying
 	// path after the boundary.
@@ -92,11 +72,14 @@ type ClusterResult struct {
 	// clusters with at least one live sensor.
 	Lifetime    time.Duration `json:"lifetime_ns,omitempty"`
 	HasLifetime bool          `json:"has_lifetime,omitempty"`
-	// Exactly one of State and Delta carries the cluster's boundary
-	// checkpoint after the epoch. Workers ship Delta — the compact
-	// encoding against the boundary the epoch started from (delta.go);
-	// State remains accepted for full checkpoints and older payloads.
-	State *ClusterState `json:"state,omitempty"`
+	// CacheHit reports whether the routing plan came from the plan cache;
+	// on a miss, Solves and Augments carry the fresh plan's max-flow
+	// solves and augmenting paths.
+	CacheHit bool `json:"cache_hit,omitempty"`
+	Solves   int  `json:"solves,omitempty"`
+	Augments int  `json:"augments,omitempty"`
+	// Delta is the cluster's boundary state after the epoch, encoded
+	// against the boundary the epoch started from (delta.go).
 	Delta *ClusterDelta `json:"delta,omitempty"`
 }
 
@@ -111,297 +94,190 @@ func (rt *Runtime) FieldHash() string {
 // ascending — the unit of distributed assignment and of MergeEpoch's
 // coverage check.
 func (rt *Runtime) ClusterIndexes() []int {
-	ks := make([]int, 0, rt.sum.Clusters)
-	for k, c := range rt.clusters {
-		if c != nil {
-			ks = append(ks, k)
-		}
-	}
-	return ks
+	return append([]int(nil), rt.indexes...)
 }
 
-// initShard arms shard mode. Shard bookkeeping starts every cluster at
-// epoch 0, so the runtime must be fresh — a worker always builds from
-// the spec and receives later state through AdoptCluster.
-func (rt *Runtime) initShard() error {
-	if rt.shardEpochs != nil {
-		return nil
-	}
-	if rt.epoch != 0 {
-		return fmt.Errorf("field: shard mode requires a fresh runtime, this one is at epoch %d", rt.epoch)
-	}
-	rt.shardEpochs = make([]int, len(rt.clusters))
-	rt.shardRevs = make([]int, len(rt.clusters))
-	rt.shardResults = make([]*ClusterResult, len(rt.clusters))
-	return nil
+// has reports whether k names a non-empty cluster.
+func (rt *Runtime) has(k int) bool {
+	return k >= 0 && k < len(rt.clusters) && rt.clusters[k] != nil
 }
 
-// shardInstallTable makes rev the shadowing revision installed on the
-// shared propagation model, if it is not already.
-func (rt *Runtime) shardInstallTable(rev int) {
-	if rt.shardTable == rev {
-		return
+// fingerprint returns cluster k's geometry hash ("%016x" of
+// topo.Field.ClusterFingerprint), computed on first use and cached in
+// slot k, which only one goroutine touches at a time.
+func (rt *Runtime) fingerprint(k int) string {
+	s := &rt.slots[k]
+	if s.fingerprint == "" {
+		s.fingerprint = fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k))
 	}
-	rt.installShadow(rev)
-	rt.shardTable = rev
+	return s.fingerprint
 }
 
-// shardRefresh brings cluster k's materialized links to the given shadow
-// revision.
-func (rt *Runtime) shardRefresh(k, rev int) {
-	if rt.shardRevs[k] == rev {
-		return
-	}
-	rt.shardInstallTable(rev)
-	rt.clusters[k].RefreshConnectivity()
-	rt.shardRevs[k] = rev
-}
-
-// RunShardEpoch advances the given clusters (this worker's shard)
-// through one epoch: each runs its duty cycles and its share of the
-// churn boundary, and returns its report row, deaths and boundary state.
-// Clusters run sequentially in ascending index order — the distributed
-// runtime's parallelism is across workers, and sequential execution lets
-// the shared shadowing table serve clusters at different revisions.
+// RunShardEpoch advances the given clusters through one epoch: each runs
+// its duty cycles and its share of the churn boundary, and returns its
+// report row, deaths, planner work and boundary delta, ascending by
+// cluster. The clusters run on at most o.WorkerCount() goroutines; the
+// call returns only after all of them have exited.
 //
 // Each cluster must be exactly at epoch (completed epochs == epoch);
 // a cluster already at epoch+1 returns its cached result instead, so a
 // coordinator that lost a response can safely re-ask. Anything else is
-// ErrShardEpoch. Errors leave completed clusters advanced — re-asking
+// ErrShardEpoch. The whole shard is validated before any cluster runs;
+// a cluster that fails mid-run leaves the others advanced, and re-asking
 // with the same epoch is always safe.
 func (rt *Runtime) RunShardEpoch(o exp.Options, epoch int, ks []int) ([]ClusterResult, error) {
-	if err := rt.initShard(); err != nil {
-		return nil, err
-	}
 	if epoch < 0 {
 		return nil, fmt.Errorf("field: %w: negative epoch %d", ErrShardEpoch, epoch)
 	}
 	sorted := append(rt.scratchSorted[:0], ks...)
 	sort.Ints(sorted)
 	rt.scratchSorted = sorted
-	out := make([]ClusterResult, 0, len(sorted))
+	pending := make([]int, 0, len(sorted))
 	for i, k := range sorted {
 		if i > 0 && sorted[i-1] == k {
 			return nil, fmt.Errorf("field: %w: cluster %d listed twice in shard", ErrShardMismatch, k)
 		}
-		if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+		if !rt.has(k) {
 			return nil, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
 		}
-		switch {
-		case rt.shardEpochs[k] == epoch:
-			res, err := rt.runShardCluster(o, epoch, k)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, *res)
-		case rt.shardEpochs[k] == epoch+1 && rt.shardResults[k] != nil && rt.shardResults[k].Epoch == epoch:
-			out = append(out, *rt.shardResults[k])
+		switch s := &rt.slots[k]; {
+		case s.epoch == epoch:
+			pending = append(pending, k)
+		case s.epoch == epoch+1 && s.result != nil && s.result.Epoch == epoch:
 		default:
 			return nil, fmt.Errorf("field: %w: cluster %d has completed %d epochs, asked to run epoch %d",
-				ErrShardEpoch, k, rt.shardEpochs[k], epoch)
+				ErrShardEpoch, k, s.epoch, epoch)
 		}
+	}
+
+	errs := make([]error, len(pending))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(o.WorkerCount(), len(pending)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(pending); i = int(next.Add(1) - 1) {
+				errs[i] = rt.runCluster(o, epoch, pending[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+
+	if o.Obs != nil {
+		rt.emitRadio(sorted, o.Obs)
+	}
+	out := make([]ClusterResult, len(sorted))
+	for i, k := range sorted {
+		out[i] = *rt.slots[k].result
 	}
 	return out, nil
 }
 
-// runShardCluster runs cluster k's epoch and churn boundary and records
-// the result for idempotent re-query.
-func (rt *Runtime) runShardCluster(o exp.Options, epoch, k int) (*ClusterResult, error) {
+// runCluster runs cluster k's epoch and its share of the churn boundary
+// and records the result in slot k. It touches only cluster k's state,
+// so the pool runs different clusters concurrently.
+func (rt *Runtime) runCluster(o exp.Options, epoch, k int) error {
 	c := rt.clusters[k]
+	s := &rt.slots[k]
 	// The epoch runs under its revision's shadowing table; a cluster that
-	// skipped revisions (fresh adoptee) catches up with one refresh —
-	// refreshes re-derive materialized links from the installed table, so
-	// the path there does not matter.
+	// skipped revisions (fresh adoptee, resumed runtime) catches up here.
 	rev := rt.revForEpoch(epoch)
-	rt.shardInstallTable(rev)
-	rt.shardRefresh(k, rev)
+	rt.refreshTo(k, rev)
 
-	var out clusterEpochOut
-	rt.runClusterEpoch(o, epoch, k, &out)
-	if out.err != nil {
-		return nil, out.err
+	// Dark clusters (no live reachable sensor) still run: the head keeps
+	// broadcasting its wake/sleep cycle whether or not anyone answers.
+	cycles := rt.cfg.epochCycles()
+	live := c.ReachableCount()
+	pk := rt.cfg.Params
+	pk.Seed = rt.epochSeed(epoch, k)
+	misses := s.cache.Misses
+	if s.runner == nil {
+		s.runner = &cluster.RunnerScratch{}
 	}
-	s := out.summary
-	res := &ClusterResult{
-		Epoch: epoch,
-		Row: ClusterEpoch{
-			Cluster:   k,
-			Channel:   rt.colors[k],
-			Live:      out.live,
-			Offered:   s.Offered,
-			Delivered: s.Delivered,
-			Retries:   s.Retries,
-			MeanDuty:  s.MeanDuty,
-			Fits:      s.AllFit,
-		},
+	r, err := cluster.NewRunnerScratch(c, pk, s.cache, s.runner)
+	if err != nil {
+		return fmt.Errorf("field: cluster %d epoch %d: %w", k, epoch, err)
 	}
-	// The steady-state lifetime estimate the coordinator mins over comes
-	// from epoch 0, before churn reshapes the load (RunEpoch's
-	// lifetimeEstimate, clusterized).
-	if epoch == 0 && rt.cfg.BatteryJoules > 0 && out.unreachable < c.Sensors() {
-		res.Lifetime = s.Lifetime(rt.em, rt.cfg.BatteryJoules)
+	res := &ClusterResult{Epoch: epoch, CacheHit: s.cache.Misses == misses}
+	if !res.CacheHit {
+		res.Solves = r.Plan.Solves
+		res.Augments = r.Plan.AugmentingPaths
+	}
+	r.Obs = o.Obs
+	unreachable := len(r.Unreachable)
+	sum, err := r.Run(cycles)
+	if err != nil {
+		return fmt.Errorf("field: cluster %d epoch %d: %w", k, epoch, err)
+	}
+	res.Row = ClusterEpoch{
+		Cluster:   k,
+		Channel:   rt.colors[k],
+		Live:      live,
+		Offered:   sum.Offered,
+		Delivered: sum.Delivered,
+		Retries:   sum.Retries,
+		MeanDuty:  sum.MeanDuty,
+		Fits:      sum.AllFit,
+	}
+	// The steady-state lifetime estimate MergeEpoch mins over comes from
+	// epoch 0, before churn reshapes the load.
+	if epoch == 0 && rt.cfg.BatteryJoules > 0 && unreachable < c.Sensors() {
+		res.Lifetime = sum.Lifetime(rt.em, rt.cfg.BatteryJoules)
 		res.HasLifetime = true
 	}
 
-	// The churn boundary, restricted to this cluster: battery kills, then
-	// the fault draw, then the shadow shift — the same order the
-	// single-process boundary applies field-wide. The pre-churn batteries
-	// are snapshotted first so the boundary delta can ship only the
-	// levels the churn moved.
-	var preBatt []float64
+	// The churn boundary: battery kills, then the fault draw, then the
+	// shadow shift. The pre-churn batteries are snapshotted first so the
+	// boundary delta can ship only the levels the churn moved.
 	if rt.batteries != nil {
-		preBatt = append(rt.scratchPreBatt[:0], rt.batteries[k]...)
-		rt.scratchPreBatt = preBatt
-	}
-	changed := false
-	if rt.batteries != nil && out.energyUse != nil {
-		if rt.batteryChurnCluster(epoch, k, out.energyUse, &res.Deaths) {
-			changed = true
+		s.preBatt = append(s.preBatt[:0], rt.batteries[k]...)
+		if rt.batteryChurnCluster(epoch, k, sum, cycles, &res.Deaths) {
+			res.Changed = true
 		}
 	}
-	if rt.cfg.Churn.FaultRate > 0 {
-		if rt.faultChurnCluster(epoch, k, &res.Deaths) {
-			changed = true
-		}
+	if rt.cfg.Churn.FaultRate > 0 && rt.faultChurnCluster(epoch, k, &res.Deaths) {
+		res.Changed = true
 	}
 	if rt.shadowDue(epoch) {
 		prev := c.ConnectivityRev()
-		rt.shardInstallTable(rev + 1)
-		c.RefreshConnectivity()
-		rt.shardRevs[k] = rev + 1
+		rt.refreshTo(k, rev+1)
 		if c.ConnectivityRev() != prev {
-			changed = true
+			res.Changed = true
 		}
 	}
-	res.Changed = changed
 	res.Stranded = rt.strandedIn(k)
 
-	rt.shardEpochs[k] = epoch + 1
-	// The boundary checkpoint ships as a delta against the boundary the
-	// epoch started from — the coordinator's books are guaranteed to sit
-	// there (it only issues epoch e after committing boundary e). The
-	// delta is freshly allocated: it lives in shardResults for idempotent
-	// re-query, so it cannot share scratch across clusters. An active
-	// battery cluster can drain nearly every node in one epoch, making
-	// the delta's (index, value) pairs pricier than the plain battery
-	// array — ship whichever encoding is smaller on the wire.
-	d := &ClusterDelta{}
-	rt.encodeBoundaryDelta(k, epoch, res.Deaths, preBatt, d)
-	if rt.deltaCheaper(d, c.Sensors()) {
-		res.Delta = d
-	} else {
-		st, err := rt.ExportClusterState(k)
-		if err != nil {
-			return nil, err
-		}
-		res.State = &st
-	}
-	rt.shardResults[k] = res
-	return res, nil
-}
-
-// ExportClusterState captures cluster k's current epoch-boundary state:
-// the coordinator exports it from its merged runtime to seed an
-// adoption; a worker exports it to answer a checkpoint fetch.
-func (rt *Runtime) ExportClusterState(k int) (ClusterState, error) {
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
-		return ClusterState{}, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
-	}
-	st := ClusterState{
-		Cluster:     k,
-		Fingerprint: fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)),
-		Epoch:       rt.epoch,
-		Dead:        []int{},
-	}
-	if rt.shardEpochs != nil {
-		st.Epoch = rt.shardEpochs[k]
-	}
-	for v, isDead := range rt.dead[k] {
-		if isDead {
-			st.Dead = append(st.Dead, v)
-		}
-	}
-	if rt.batteries != nil {
-		st.Batteries = append([]float64(nil), rt.batteries[k]...)
-	}
-	return st, nil
-}
-
-// AdoptCluster installs a handed-off cluster state on this worker: the
-// per-cluster miniature of Resume. The cluster's fingerprint must match
-// this field's, and its epoch may only move forward; adopting the state
-// a cluster is already at is a no-op (determinism makes the states
-// equal), so re-sends are safe.
-func (rt *Runtime) AdoptCluster(st ClusterState) error {
-	if err := rt.initShard(); err != nil {
-		return err
-	}
-	k := st.Cluster
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
-		return fmt.Errorf("field: %w: no cluster %d to adopt", ErrShardMismatch, k)
-	}
-	c := rt.clusters[k]
-	if want := fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)); st.Fingerprint != want {
-		return fmt.Errorf("field: %w: cluster %d is %s here, handoff carries %s",
-			ErrShardMismatch, k, want, st.Fingerprint)
-	}
-	if (st.Batteries != nil) != (rt.batteries != nil) {
-		return fmt.Errorf("field: %w: handoff for cluster %d disagrees on battery accounting", ErrShardMismatch, k)
-	}
-	if st.Batteries != nil && len(st.Batteries) != len(rt.batteries[k]) {
-		return fmt.Errorf("field: %w: handoff batteries for cluster %d: %d nodes, want %d",
-			ErrShardMismatch, k, len(st.Batteries), len(rt.batteries[k]))
-	}
-	if st.Epoch < rt.shardEpochs[k] {
-		return fmt.Errorf("field: %w: cluster %d has completed %d epochs, cannot rewind to %d",
-			ErrShardEpoch, k, rt.shardEpochs[k], st.Epoch)
-	}
-	victims := rt.scratchVictims[:0]
-	for _, v := range st.Dead {
-		if v < 1 || v > c.Sensors() {
-			return fmt.Errorf("field: %w: handoff kills sensor %d of cluster %d, out of range", ErrShardMismatch, v, k)
-		}
-		if !rt.dead[k][v] {
-			victims = append(victims, v)
-		}
-	}
-	if len(victims) > 0 {
-		rt.killBatch(k, victims)
-	}
-	rt.scratchVictims = victims
-	if st.Batteries != nil {
-		copy(rt.batteries[k], st.Batteries)
-	}
-	rt.shardEpochs[k] = st.Epoch
-	rt.shardResults[k] = nil
-	rt.shardRefresh(k, rt.revForEpoch(st.Epoch))
+	// The delta is freshly allocated: it stays in the slot for
+	// idempotent re-query.
+	res.Delta = rt.boundaryDelta(k, epoch, res.Deaths, s.preBatt)
+	s.epoch = epoch + 1
+	s.result = res
 	return nil
 }
 
-// MergeEpoch folds one epoch's per-cluster results into this runtime —
-// the coordinator's half of the barrier. The runtime must be the
-// whole-field one (not shard mode) sitting at the epoch the results are
-// for, and the results must cover exactly the field's non-empty
-// clusters. The merge rebuilds the epoch report in cluster-index order
-// and advances epoch, summary, deaths, batteries and shadow revision
-// precisely as RunEpoch would have: after a merge, Summary() and
-// Snapshot() are byte-identical to the single-process run's.
-func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
-	if rt.shardEpochs != nil {
-		return nil, fmt.Errorf("field: MergeEpoch on a shard-mode runtime")
-	}
+// MergeEpoch folds one epoch's per-cluster results into this runtime:
+// the only code that builds an EpochReport and advances the Summary. The
+// runtime must sit at the epoch the results are for, and the results
+// must cover exactly the field's non-empty clusters. The merge rebuilds
+// the report in cluster-index order, imports every boundary delta into
+// the runtime's dead and battery books (a no-op for results the runtime
+// produced itself), emits the field_* and routing series into o when it
+// is non-nil, and calls Config.OnEpoch.
+func (rt *Runtime) MergeEpoch(o obs.Observer, results []ClusterResult) (*EpochReport, error) {
 	epoch := rt.epoch
-	byK := rt.scratchMergeByK
-	if byK == nil {
-		byK = make(map[int]*ClusterResult, len(results))
-		rt.scratchMergeByK = byK
-	} else {
-		clear(byK)
+	if rt.scratchByK == nil {
+		rt.scratchByK = make([]*ClusterResult, len(rt.clusters))
 	}
+	byK := rt.scratchByK
+	clear(byK)
 	for i := range results {
 		r := &results[i]
 		k := r.Row.Cluster
-		if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+		if !rt.has(k) {
 			return nil, fmt.Errorf("field: %w: result for unknown cluster %d", ErrShardMismatch, k)
 		}
 		if byK[k] != nil {
@@ -415,6 +291,16 @@ func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
 			return nil, fmt.Errorf("field: %w: cluster %d ran on channel %d, coloring says %d",
 				ErrShardMismatch, k, r.Row.Channel, rt.colors[k])
 		}
+		if r.Delta == nil || r.Delta.Cluster != k {
+			return nil, fmt.Errorf("field: %w: cluster %d result carries no boundary state", ErrShardMismatch, k)
+		}
+		if err := rt.checkDelta(r.Delta); err != nil {
+			return nil, err
+		}
+		if d := r.Delta; d.Epoch != epoch+1 || (d.Base != epoch && d.Base != DeltaBaseInitial) {
+			return nil, fmt.Errorf("field: %w: cluster %d delta goes from base %d to epoch %d, books are at %d",
+				ErrShardEpoch, k, d.Base, d.Epoch, epoch)
+		}
 		byK[k] = r
 	}
 
@@ -422,10 +308,7 @@ func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
 	duties := rt.scratchDuties[:0]
 	dutyColors := rt.scratchDutyColors[:0]
 	ordered := rt.scratchOrdered[:0]
-	for k, c := range rt.clusters {
-		if c == nil {
-			continue
-		}
+	for _, k := range rt.indexes {
 		r := byK[k]
 		if r == nil {
 			return nil, fmt.Errorf("field: %w: no result for cluster %d", ErrShardMismatch, k)
@@ -434,35 +317,18 @@ func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
 		rep.Clusters = append(rep.Clusters, r.Row)
 		duties = append(duties, r.Row.MeanDuty)
 		dutyColors = append(dutyColors, rt.colors[k])
-		rt.sum.OfferedTotal += r.Row.Offered
-		rt.sum.DeliveredTotal += r.Row.Delivered
-		rt.sum.RetriesTotal += r.Row.Retries
 	}
 	rt.scratchOrdered = ordered
+	rt.scratchDuties, rt.scratchDutyColors = duties, dutyColors
 	rep.TokenCycle = cluster.TokenRotationCycle(duties)
 	colored, err := cluster.ColoredCycle(duties, dutyColors)
 	if err != nil {
 		return nil, err
 	}
 	rep.ColoredCycle = colored
-	rt.scratchDuties, rt.scratchDutyColors = duties, dutyColors
-
-	if epoch == 0 && rt.cfg.BatteryJoules > 0 {
-		var min time.Duration
-		for _, r := range ordered {
-			if !r.HasLifetime {
-				continue
-			}
-			if min == 0 || r.Lifetime < min {
-				min = r.Lifetime
-			}
-		}
-		rt.sum.Lifetime = min
-	}
 
 	// Boundary deaths in the canonical order: the battery phase across
-	// clusters (ascending), then the fault phase — exactly the order the
-	// single-process churn loop appends them in.
+	// clusters (ascending), then the fault phase.
 	for _, cause := range []string{"battery", "fault"} {
 		for _, r := range ordered {
 			for _, d := range r.Deaths {
@@ -477,34 +343,31 @@ func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
 			}
 		}
 	}
+
+	// Everything is validated: commit. The boundary deltas keep the
+	// runtime's dead/battery books in step with the fleet — that is what
+	// makes its Snapshot the resume point and the source of handoffs.
+	var lifetime time.Duration
 	for _, r := range ordered {
+		rt.sum.OfferedTotal += r.Row.Offered
+		rt.sum.DeliveredTotal += r.Row.Delivered
+		rt.sum.RetriesTotal += r.Row.Retries
 		rep.Stranded += r.Stranded
 		if r.Changed {
 			rep.Replans++
 		}
-	}
-
-	// Install the boundary states so the coordinator's own dead/battery
-	// books track the fleet — that is what makes its Snapshot the
-	// resume point, and the source of adoption payloads.
-	for _, r := range ordered {
-		switch {
-		case r.Delta != nil:
-			if err := rt.importClusterDelta(*r.Delta, epoch+1); err != nil {
-				return nil, err
-			}
-		case r.State != nil:
-			if err := rt.importClusterState(*r.State, epoch+1); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("field: %w: cluster %d result carries no boundary state",
-				ErrShardMismatch, r.Row.Cluster)
+		if r.HasLifetime && (lifetime == 0 || r.Lifetime < lifetime) {
+			lifetime = r.Lifetime
+		}
+		rt.applyDelta(r.Delta)
+		if s := &rt.slots[r.Row.Cluster]; s.epoch < epoch+1 {
+			s.epoch = epoch + 1
 		}
 	}
-
+	if epoch == 0 && rt.cfg.BatteryJoules > 0 {
+		rt.sum.Lifetime = lifetime
+	}
 	rt.epoch++
-	rt.shadowRev = rt.revForEpoch(rt.epoch)
 	rt.sum.Epochs = rt.epoch
 	rt.sum.Deaths = append(rt.sum.Deaths, rep.Deaths...)
 	rt.sum.StrandedFinal = rep.Stranded
@@ -513,46 +376,11 @@ func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
 		rt.sum.FirstDeath = time.Duration(rt.epoch*rt.cfg.epochCycles()) * rt.cfg.Params.Cycle
 	}
 	rt.sum.Reports = append(rt.sum.Reports, rep)
+	if o != nil {
+		emitEpoch(&rep, ordered, o)
+	}
 	if rt.cfg.OnEpoch != nil {
 		rt.cfg.OnEpoch(&rep)
 	}
 	return &rep, nil
-}
-
-// importClusterState applies one cluster's post-epoch checkpoint to the
-// coordinator's books during a merge.
-func (rt *Runtime) importClusterState(st ClusterState, wantEpoch int) error {
-	k := st.Cluster
-	c := rt.clusters[k]
-	if st.Epoch != wantEpoch {
-		return fmt.Errorf("field: %w: cluster %d state is at epoch %d, want %d", ErrShardEpoch, k, st.Epoch, wantEpoch)
-	}
-	if want := fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)); st.Fingerprint != want {
-		return fmt.Errorf("field: %w: cluster %d is %s here, result carries %s",
-			ErrShardMismatch, k, want, st.Fingerprint)
-	}
-	if (st.Batteries != nil) != (rt.batteries != nil) {
-		return fmt.Errorf("field: %w: result for cluster %d disagrees on battery accounting", ErrShardMismatch, k)
-	}
-	victims := rt.scratchVictims[:0]
-	for _, v := range st.Dead {
-		if v < 1 || v > c.Sensors() {
-			return fmt.Errorf("field: %w: result kills sensor %d of cluster %d, out of range", ErrShardMismatch, v, k)
-		}
-		if !rt.dead[k][v] {
-			victims = append(victims, v)
-		}
-	}
-	if len(victims) > 0 {
-		rt.killBatch(k, victims)
-	}
-	rt.scratchVictims = victims
-	if st.Batteries != nil {
-		if len(st.Batteries) != len(rt.batteries[k]) {
-			return fmt.Errorf("field: %w: result batteries for cluster %d: %d nodes, want %d",
-				ErrShardMismatch, k, len(st.Batteries), len(rt.batteries[k]))
-		}
-		copy(rt.batteries[k], st.Batteries)
-	}
-	return nil
 }

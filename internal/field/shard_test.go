@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/obs"
 )
 
 // newShardWorker builds a fresh worker-side runtime over its own copy of
-// the churn fixture (own field, own propagation model — exactly what a
-// worker process reconstructs from the spec).
+// the churn fixture — exactly what a worker process reconstructs from
+// the spec.
 func newShardWorker(t *testing.T) *Runtime {
 	t.Helper()
 	f, cfg := buildChurnField()
@@ -23,9 +24,10 @@ func newShardWorker(t *testing.T) *Runtime {
 
 // runDistributed simulates the coordinator/worker protocol in-process:
 // workers[w] owns the clusters partition assigns to it, every epoch each
-// worker runs its shard and the coordinator merges. Returns the
-// coordinator runtime after cfg.Epochs epochs.
-func runDistributed(t *testing.T, workers []*Runtime, partition func(k int) int) *Runtime {
+// worker runs its shard and the coordinator merges, emitting into o
+// when it is non-nil. Returns the coordinator runtime after cfg.Epochs
+// epochs.
+func runDistributed(t *testing.T, workers []*Runtime, partition func(k int) int, o obs.Observer) *Runtime {
 	t.Helper()
 	f, cfg := buildChurnField()
 	coord, err := New(f, cfg)
@@ -46,7 +48,7 @@ func runDistributed(t *testing.T, workers []*Runtime, partition func(k int) int)
 			}
 			results = append(results, res...)
 		}
-		if _, err := coord.MergeEpoch(results); err != nil {
+		if _, err := coord.MergeEpoch(o, results); err != nil {
 			t.Fatalf("merge epoch %d: %v", epoch, err)
 		}
 	}
@@ -75,7 +77,7 @@ func TestShardMergeMatchesSingleProcess(t *testing.T) {
 		for w := range workers {
 			workers[w] = newShardWorker(t)
 		}
-		coord := runDistributed(t, workers, func(k int) int { return k % n })
+		coord := runDistributed(t, workers, func(k int) int { return k % n }, nil)
 		if got := summaryJSON(t, coord.Summary()); !bytes.Equal(got, wantSum) {
 			t.Fatalf("workers=%d: merged summary diverges from single-process run:\n got %s\nwant %s", n, got, wantSum)
 		}
@@ -87,7 +89,7 @@ func TestShardMergeMatchesSingleProcess(t *testing.T) {
 
 // TestShardHandoffMidRun pins the reassignment contract: worker 0 is
 // lost after two epochs and a survivor adopts its clusters from the
-// coordinator's merged state (ExportClusterState → AdoptCluster). The
+// coordinator's merged state (EncodeClusterDelta → AdoptClusterDelta). The
 // finished run must still match the single-process bytes — adoption is a
 // per-cluster Resume, so the trajectory cannot depend on which process
 // runs the cluster.
@@ -121,14 +123,14 @@ func TestShardHandoffMidRun(t *testing.T) {
 			// Worker 0 dies. Its clusters hand off to worker 1, seeded from
 			// the coordinator's last committed boundary.
 			for _, k := range shards[0] {
-				st, err := coord.ExportClusterState(k)
+				d, err := coord.EncodeClusterDelta(k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.Epoch != 2 {
-					t.Fatalf("coordinator exports cluster %d at epoch %d, want 2", k, st.Epoch)
+				if d.Epoch != 2 {
+					t.Fatalf("coordinator exports cluster %d at epoch %d, want 2", k, d.Epoch)
 				}
-				if err := workers[1].AdoptCluster(st); err != nil {
+				if err := workers[1].AdoptClusterDelta(d); err != nil {
 					t.Fatalf("adopt cluster %d: %v", k, err)
 				}
 			}
@@ -147,7 +149,7 @@ func TestShardHandoffMidRun(t *testing.T) {
 			}
 			results = append(results, res...)
 		}
-		if _, err := coord.MergeEpoch(results); err != nil {
+		if _, err := coord.MergeEpoch(nil, results); err != nil {
 			t.Fatalf("merge epoch %d: %v", epoch, err)
 		}
 	}
@@ -196,28 +198,29 @@ func TestShardSingleClusterShards(t *testing.T) {
 	for i, k := range ks {
 		pos[k] = i
 	}
-	coord := runDistributed(t, workers, func(k int) int { return pos[k] })
+	coord := runDistributed(t, workers, func(k int) int { return pos[k] }, nil)
 	if got := summaryJSON(t, coord.Summary()); !bytes.Equal(got, want) {
 		t.Fatalf("single-cluster shards diverge from single-process run:\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestShardRejections pins the shard protocol's refusal cases: handoffs
-// from another deployment, epoch rewinds, out-of-step runs, merges with
-// holes, and whole-field RunEpoch on an armed shard runtime.
+// from another deployment, epoch rewinds, out-of-step runs, shards that
+// fail validation, and merges with holes.
 func TestShardRejections(t *testing.T) {
 	w := newShardWorker(t)
-	k := w.ClusterIndexes()[0]
+	ks := w.ClusterIndexes()
+	k, k2 := ks[0], ks[1]
 
 	// Fingerprint mismatch: state for the right index from a different
 	// deployment must be rejected.
-	st, err := w.ExportClusterState(k)
+	d, err := w.EncodeClusterDelta(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := st
+	bad := d
 	bad.Fingerprint = "00000000deadbeef"
-	if err := w.AdoptCluster(bad); !errors.Is(err, ErrShardMismatch) {
+	if err := w.AdoptClusterDelta(bad); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("adopt with wrong fingerprint: err = %v, want ErrShardMismatch", err)
 	}
 
@@ -225,8 +228,8 @@ func TestShardRejections(t *testing.T) {
 	if _, err := w.RunShardEpoch(exp.Options{}, 0, []int{k}); err != nil {
 		t.Fatal(err)
 	}
-	rewind := st // epoch 0 state captured before the run
-	if err := w.AdoptCluster(rewind); !errors.Is(err, ErrShardEpoch) {
+	rewind := d // epoch 0 state captured before the run
+	if err := w.AdoptClusterDelta(rewind); !errors.Is(err, ErrShardEpoch) {
 		t.Fatalf("adopt rewinding to epoch 0: err = %v, want ErrShardEpoch", err)
 	}
 	if _, err := w.RunShardEpoch(exp.Options{}, 5, []int{k}); !errors.Is(err, ErrShardEpoch) {
@@ -237,21 +240,22 @@ func TestShardRejections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-query of completed epoch: %v", err)
 	}
-	cachedEpoch := -1
-	if len(again) == 1 {
-		switch {
-		case again[0].Delta != nil:
-			cachedEpoch = again[0].Delta.Epoch
-		case again[0].State != nil:
-			cachedEpoch = again[0].State.Epoch
-		}
-	}
-	if len(again) != 1 || again[0].Epoch != 0 || cachedEpoch != 1 {
+	if len(again) != 1 || again[0].Epoch != 0 || again[0].Delta == nil || again[0].Delta.Epoch != 1 {
 		t.Fatalf("re-query returned %+v, want cached epoch-0 result", again)
 	}
-	// A shard-mode runtime refuses the whole-field path.
-	if _, err := w.RunEpoch(exp.Options{}); err == nil {
-		t.Fatal("RunEpoch succeeded on a shard-mode runtime")
+	// The whole shard is validated before any cluster runs: a bad entry
+	// anywhere leaves every listed cluster where it was.
+	for _, shard := range [][]int{{k2, 10 * len(w.clusters)}, {k2, k2}, {k2, k}} {
+		epoch := 0
+		if shard[1] == k {
+			epoch = 1 // k can run epoch 1, k2 cannot
+		}
+		if _, err := w.RunShardEpoch(exp.Options{}, epoch, shard); err == nil {
+			t.Fatalf("shard %v at epoch %d accepted", shard, epoch)
+		}
+		if w.slots[k2].epoch != 0 || w.slots[k].epoch != 1 {
+			t.Fatalf("rejected shard %v ran clusters: epochs %d/%d", shard, w.slots[k2].epoch, w.slots[k].epoch)
+		}
 	}
 
 	// Merge coverage: dropping one cluster's result must be rejected.
@@ -265,10 +269,10 @@ func TestShardRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.MergeEpoch(results[1:]); !errors.Is(err, ErrShardMismatch) {
+	if _, err := coord.MergeEpoch(nil, results[1:]); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("merge with a missing cluster: err = %v, want ErrShardMismatch", err)
 	}
-	if _, err := coord.MergeEpoch(results); err != nil {
+	if _, err := coord.MergeEpoch(nil, results); err != nil {
 		t.Fatalf("full merge after rejected partial merge: %v", err)
 	}
 }

@@ -60,9 +60,9 @@ type Snapshot struct {
 func (rt *Runtime) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:   SnapshotVersion,
-		FieldHash: fmt.Sprintf("%016x", rt.f.Fingerprint()),
+		FieldHash: rt.FieldHash(),
 		Epoch:     rt.epoch,
-		ShadowRev: rt.shadowRev,
+		ShadowRev: rt.revForEpoch(rt.epoch),
 		Dead:      make([][]int, len(rt.clusters)),
 	}
 	if rt.batteries != nil {
@@ -179,8 +179,17 @@ func Resume(f *topo.Field, cfg Config, s *Snapshot) (*Runtime, error) {
 	if (s.Batteries != nil) != (rt.batteries != nil) {
 		return nil, fmt.Errorf("field: %w: snapshot and config disagree on battery accounting", ErrSnapshotMismatch)
 	}
+	if s.Batteries != nil && len(s.Batteries) != len(rt.clusters) {
+		return nil, fmt.Errorf("field: %w: snapshot has batteries for %d clusters, field has %d",
+			ErrSnapshotMismatch, len(s.Batteries), len(rt.clusters))
+	}
+	if s.Epoch < 0 || s.ShadowRev != rt.revForEpoch(s.Epoch) {
+		return nil, fmt.Errorf("field: %w: snapshot at epoch %d with shadow revision %d, config implies %d",
+			ErrSnapshotMismatch, s.Epoch, s.ShadowRev, rt.revForEpoch(max(s.Epoch, 0)))
+	}
 	// Re-apply deaths (order-independent: each is a power zeroing plus a
-	// rebuild), restore batteries, then re-install the shadow revision.
+	// rebuild) and restore batteries. Each cluster's links catch up to the
+	// epoch's shadow revision when it next runs.
 	for k, dead := range s.Dead {
 		for _, v := range dead {
 			if rt.clusters[k] == nil || v < 1 || v > rt.clusters[k].Sensors() {
@@ -189,18 +198,17 @@ func Resume(f *topo.Field, cfg Config, s *Snapshot) (*Runtime, error) {
 			rt.kill(k, v)
 		}
 	}
-	if s.Batteries != nil {
-		for k := range rt.batteries {
-			if len(s.Batteries[k]) != len(rt.batteries[k]) {
-				return nil, fmt.Errorf("field: %w: snapshot batteries for cluster %d: %d nodes, want %d",
-					ErrSnapshotMismatch, k, len(s.Batteries[k]), len(rt.batteries[k]))
-			}
-			copy(rt.batteries[k], s.Batteries[k])
+	for k := range rt.batteries {
+		if len(s.Batteries[k]) != len(rt.batteries[k]) {
+			return nil, fmt.Errorf("field: %w: snapshot batteries for cluster %d: %d nodes, want %d",
+				ErrSnapshotMismatch, k, len(s.Batteries[k]), len(rt.batteries[k]))
 		}
+		copy(rt.batteries[k], s.Batteries[k])
 	}
-	rt.shadowRev = s.ShadowRev
-	rt.applyShadow()
 	rt.epoch = s.Epoch
+	for k := range rt.slots {
+		rt.slots[k].epoch = s.Epoch
+	}
 	if s.Summary != nil {
 		rt.sum = *s.Summary
 	}

@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 
 // snapshotFixture runs one epoch of the churn field and returns the
 // runtime plus its serialized snapshot bytes.
-func snapshotFixture(t *testing.T) (*Runtime, []byte) {
+func snapshotFixture(t testing.TB) (*Runtime, []byte) {
 	t.Helper()
 	f, cfg := buildChurnField()
 	rt, err := New(f, cfg)
@@ -80,6 +81,43 @@ func TestResumeMismatchSentinel(t *testing.T) {
 	if _, err := Resume(f, cfg, &bad); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("version error %v, want ErrSnapshotVersion", err)
 	}
+	short := *snap
+	short.Batteries = short.Batteries[:1]
+	if _, err := Resume(f, cfg, &short); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("too few battery rows: error %v, want ErrSnapshotMismatch", err)
+	}
+	shifted := *snap
+	shifted.ShadowRev++
+	if _, err := Resume(f, cfg, &shifted); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("shadow revision off its epoch: error %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// FuzzResume throws arbitrary bytes at the checkpoint path a daemon takes
+// on restart: ReadSnapshot then Resume must return a runtime or a typed
+// error, never panic.
+func FuzzResume(f *testing.F) {
+	_, good := snapshotFixture(f)
+	f.Add(good)
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":1,"dead":[[],[],[],[],[]],"batteries":[[1]]}`))
+	fld, cfg := buildChurnField()
+	hash := fmt.Sprintf("%016x", fld.Fingerprint())
+	f.Add([]byte(`{"version":1,"field_hash":"` + hash + `","epoch":-3,"dead":[[],[],[],[],[]],"batteries":[]}`))
+	f.Add([]byte(`{"version":1,"field_hash":"` + hash + `","dead":[[9999],[],[],[],[]],"batteries":[[],[],[],[],[]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("untyped read error for %q: %v", data, err)
+			}
+			return
+		}
+		if _, err := Resume(fld, cfg, snap); err != nil &&
+			!errors.Is(err, ErrSnapshotMismatch) && !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("untyped resume error for %q: %v", data, err)
+		}
+	})
 }
 
 func TestSnapshotWriteFileAtomic(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -49,11 +50,48 @@ func submitAndFinish(t *testing.T, ts *httptest.Server, m *Manager, spec string)
 	return full
 }
 
+// scrapeMetrics reads a daemon's /metrics exposition into series → value.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		i := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// fieldSeries are the field_* series the default alert rules read; a
+// dist_field job must move them exactly as a field job does.
+var fieldSeries = []string{
+	"field_epochs_total",
+	`field_deaths_total{cause="battery"}`,
+	`field_deaths_total{cause="fault"}`,
+	"field_replans_total",
+	"field_plan_cache_hits_total",
+	"field_plan_cache_misses_total",
+}
+
 // TestDistFieldJobEndToEnd drives a dist_field job through the whole
 // deployment shape cmd/mhpolld wires: a coordinator daemon (manager +
 // HTTP API) and two worker daemons serving the /v1/worker API, all
 // speaking real HTTP. The distributed result must be byte-identical to
-// a plain field job over the same FieldSpec.
+// a plain field job over the same FieldSpec, and the coordinator must
+// emit the same field_* series values the plain job does.
 func TestDistFieldJobEndToEnd(t *testing.T) {
 	ts, m := newTestServer(t, 1, 8)
 
@@ -66,7 +104,9 @@ func TestDistFieldJobEndToEnd(t *testing.T) {
 		workers = append(workers, ws.URL)
 	}
 
+	before := scrapeMetrics(t, ts)
 	local := submitAndFinish(t, ts, m, `{"type":"field","workers":2,"field":`+distFieldObj+`}`)
+	afterLocal := scrapeMetrics(t, ts)
 
 	distSpec := fmt.Sprintf(`{"type":"dist_field","dist":{"field":%s,"workers":[%q,%q]}}`,
 		distFieldObj, workers[0], workers[1])
@@ -79,6 +119,20 @@ func TestDistFieldJobEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(dj.Result, local.Result) {
 		t.Fatalf("distributed result diverges from local field job:\n got %s\nwant %s", dj.Result, local.Result)
+	}
+
+	afterDist := scrapeMetrics(t, ts)
+	if got := afterLocal["field_epochs_total"] - before["field_epochs_total"]; got != 4 {
+		t.Fatalf("local job added %v to field_epochs_total, want 4", got)
+	}
+	for _, name := range fieldSeries {
+		localInc := afterLocal[name] - before[name]
+		if distInc := afterDist[name] - afterLocal[name]; distInc != localInc {
+			t.Errorf("%s: dist job added %v, local job %v", name, distInc, localInc)
+		}
+	}
+	if got, want := afterDist["field_stranded_sensors"], afterLocal["field_stranded_sensors"]; got != want {
+		t.Errorf("field_stranded_sensors: dist job set %v, local job %v", got, want)
 	}
 }
 

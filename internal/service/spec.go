@@ -66,8 +66,8 @@ const (
 // single attempt, no recurrence.
 type Spec struct {
 	Type string `json:"type"`
-	// Workers bounds the parallelism *inside* the job (field shard
-	// workers, sweep cells); 0 means all CPUs. Concurrency *across* jobs
+	// Workers bounds the parallelism *inside* the job (the field
+	// runtime's cluster pool, sweep cells); 0 means all CPUs. Concurrency *across* jobs
 	// is the manager's worker pool, not the spec's business.
 	Workers int        `json:"workers,omitempty"`
 	Field   *FieldSpec `json:"field,omitempty"`
