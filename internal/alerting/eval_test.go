@@ -232,9 +232,10 @@ func TestRuleValidation(t *testing.T) {
 }
 
 // TestDefaultShardLatencySkewRule drives the shipped dist-shard-latency-skew
-// rule through a straggler incident: skew climbs past 3, must dwell the
-// full 60s before firing (placement gets a chance to migrate the load
-// first), and resolves once rebalancing pulls the skew back down.
+// rule through a straggler incident: skew (max/min seconds-per-cluster
+// over one barrier pass's calls) climbs past 3, must dwell the full 60s
+// before firing (one slow pass is noise, not a straggler), and resolves
+// once the straggler is replaced and the skew falls back.
 func TestDefaultShardLatencySkewRule(t *testing.T) {
 	var rule Rule
 	for _, r := range DefaultRules() {
@@ -249,7 +250,7 @@ func TestDefaultShardLatencySkewRule(t *testing.T) {
 		t.Fatalf("rule watches %q, want dist_epoch_seconds_skew", rule.Expr.Series)
 	}
 	// 1s ticks: balanced (2 ticks), straggler skew 4.0 for 62 ticks —
-	// enough to cross the 60s dwell — then rebalanced.
+	// enough to cross the 60s dwell — then the straggler is replaced.
 	values := make([]float64, 0, 67)
 	values = append(values, 1, 1)
 	for i := 0; i < 62; i++ {
@@ -263,7 +264,7 @@ func TestDefaultShardLatencySkewRule(t *testing.T) {
 	}{
 		{2, StatePending},   // skew trips the threshold
 		{62, StateFiring},   // held 60s (t=2 → t=62)
-		{64, StateResolved}, // rebalanced below 3
+		{64, StateResolved}, // back below 3
 	}
 	if len(trs) != len(want) {
 		t.Fatalf("transitions = %+v, want %d", trs, len(want))

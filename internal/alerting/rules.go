@@ -208,11 +208,10 @@ func DefaultRules() []Rule {
 			Labels:   map[string]string{"subsystem": "dist"},
 		},
 		{
-			// Epoch-latency skew (slowest worker / mean) holding above 3
-			// means one straggler is pacing every barrier; the coordinator's
-			// latency-weighted placement should be migrating clusters away,
-			// so a sustained skew is placement failing to converge (e.g. one
-			// worker both slow and sticky with adopted state).
+			// Epoch-latency skew (max/min seconds-per-cluster over one
+			// barrier pass's calls) holding above 3 means one straggler is
+			// pacing every barrier. Placement never migrates away from a
+			// live worker, so an operator should replace it.
 			Name:     "dist-shard-latency-skew",
 			Expr:     Expr{Series: "dist_epoch_seconds_skew", Kind: ExprThreshold, Op: OpGT, Value: 3},
 			ForMS:    60_000,

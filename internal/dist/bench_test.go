@@ -81,10 +81,10 @@ func builder100k(json.RawMessage) (*topo.Field, field.Config, error) {
 
 // BenchmarkDistEpoch100k drives one distributed epoch barrier + merge
 // over a 100,000-sensor field sharded across two workers on the
-// in-process transport — JSON wire round-trips, delta-encoded adoption
-// payloads and latency-weighted placement all included. Setup builds the
-// field three times (coordinator + each worker), so expect minutes of
-// untimed warm-up; run it pinned:
+// in-process transport — JSON wire round-trips and delta-encoded
+// adoption payloads included. Setup builds the field three times
+// (coordinator + each worker), so expect minutes of untimed warm-up;
+// run it pinned:
 //
 //	go test ./internal/dist/ -run xxx -bench DistEpoch100k -benchtime 1x
 func BenchmarkDistEpoch100k(b *testing.B) {

@@ -56,14 +56,6 @@ type Config struct {
 	// service retries with.
 	RetryAttempts int
 	Retry         backoff.Policy
-	// ImbalanceRatio is the placement hysteresis threshold: when the
-	// planned max/mean predicted shard load (cluster count × the worker's
-	// EWMA seconds-per-cluster) exceeds it, sticky placement is abandoned
-	// and the epoch's clusters are re-placed by latency-weighted
-	// rendezvous — a migration, which re-ships state via adoption, so the
-	// bar must be high enough that the move pays for itself. Default 2;
-	// values <= 1 disable latency migration.
-	ImbalanceRatio float64
 
 	// Obs, when non-nil, receives the dist_* series and, from every
 	// merged epoch, the same field_* series a local run emits.
@@ -87,19 +79,10 @@ type Coordinator struct {
 	// boundary; "" means no worker verified to hold it (fresh or resumed
 	// start), in which case the next assignment ships an adoption
 	// payload. Adopting a state a worker already has is a no-op, so
-	// over-shipping is safe, never wrong.
+	// over-shipping is safe, never wrong. A cluster leaving a worker it
+	// was placed on counts toward dist_shard_reassigns_total.
 	placed map[int]string
-	// ewma[w] is worker w's exponentially weighted moving average of
-	// wall-clock seconds per cluster for a shard call — the observed-cost
-	// input to latency-weighted placement. First observation seeds the
-	// average directly.
-	ewma map[string]float64
 }
-
-// ewmaAlpha is the smoothing factor for per-worker epoch seconds: heavy
-// enough that a persistent slowdown shows within a few epochs, light
-// enough that one noisy barrier does not trigger a migration.
-const ewmaAlpha = 0.3
 
 // New builds a coordinator: the runtime comes up fresh from the spec or
 // resumed from the snapshot.
@@ -128,9 +111,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Retry == (backoff.Policy{}) {
 		cfg.Retry = defaultRetry
 	}
-	if cfg.ImbalanceRatio == 0 {
-		cfg.ImbalanceRatio = 2
-	}
 	f, fcfg, err := cfg.Build(cfg.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("dist: build spec: %w", err)
@@ -155,57 +135,8 @@ func New(cfg Config) (*Coordinator, error) {
 		live:   make(map[string]bool, len(cfg.Workers)),
 		lastOK: make(map[string]time.Time, len(cfg.Workers)),
 		placed: make(map[int]string),
-		ewma:   make(map[string]float64, len(cfg.Workers)),
 	}
 	return co, nil
-}
-
-// Placement returns a copy of the current cluster → worker placement:
-// which worker last reported each cluster. Call between epochs or after
-// Run — not concurrently with it.
-func (co *Coordinator) Placement() map[int]string {
-	out := make(map[int]string, len(co.placed))
-	for k, w := range co.placed {
-		out[k] = w
-	}
-	return out
-}
-
-// noteShardSeconds folds one successful shard call's wall-clock cost
-// into the worker's EWMA and emits the per-worker gauge plus the fleet
-// skew series.
-func (co *Coordinator) noteShardSeconds(w string, secs float64, clusters int) {
-	if clusters < 1 {
-		return
-	}
-	perCluster := secs / float64(clusters)
-	if prev, ok := co.ewma[w]; ok {
-		co.ewma[w] = ewmaAlpha*perCluster + (1-ewmaAlpha)*prev
-	} else {
-		co.ewma[w] = perCluster
-	}
-	if co.cfg.Obs == nil {
-		return
-	}
-	co.cfg.Obs.Set(obs.Series(MetricWorkerEpochSeconds, "worker", w), secs)
-	var min, max float64
-	for _, lw := range co.liveWorkers() {
-		e, ok := co.ewma[lw]
-		if !ok || e <= 0 {
-			continue
-		}
-		if min == 0 || e < min {
-			min = e
-		}
-		if e > max {
-			max = e
-		}
-	}
-	skew := 1.0
-	if min > 0 {
-		skew = max / min
-	}
-	co.cfg.Obs.Set(MetricShardLatencySkew, skew)
 }
 
 // Epoch returns the number of committed epochs.
@@ -393,10 +324,11 @@ func (co *Coordinator) Run(ctx context.Context) (*field.Summary, error) {
 	return co.rt.Summary(), nil
 }
 
-// barrier collects one epoch's results from the fleet. Lost workers'
-// shards are reassigned to survivors — seeded by adoption payloads from
-// the coordinator's last committed boundary — until every cluster has
-// reported or no workers remain.
+// barrier collects one epoch's results from the fleet. Each pass places
+// the pending clusters on their rendezvous owners among the live
+// workers; lost workers' shards go to survivors — seeded by adoption
+// payloads from the coordinator's last committed boundary — until every
+// cluster has reported or no workers remain.
 func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) ([]field.ClusterResult, error) {
 	missing := make(map[int]bool, len(clusters))
 	for _, k := range clusters {
@@ -415,26 +347,22 @@ func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) (
 		for k := range missing {
 			pending = append(pending, k)
 		}
-		sort.Ints(pending)
-		assign := PlanShards(pending, live, co.placed, co.ewma, co.cfg.ImbalanceRatio)
 
+		// Build every request, adoption deltas included, before the first
+		// call starts: no return below can leave a call running.
 		type shardOut struct {
 			worker string
-			shard  []int
+			req    EpochRequest
 			resp   *EpochResponse
 			secs   float64
 			err    error
 		}
+		assign := Assign(pending, live)
 		outs := make([]shardOut, 0, len(assign))
 		for w, shard := range assign {
-			outs = append(outs, shardOut{worker: w, shard: shard})
-		}
-		var wg sync.WaitGroup
-		for i := range outs {
-			o := &outs[i]
-			req := EpochRequest{Session: co.cfg.Session, Epoch: epoch, Clusters: o.shard}
-			for _, k := range o.shard {
-				if co.placed[k] == o.worker {
+			req := EpochRequest{Session: co.cfg.Session, Epoch: epoch, Clusters: shard}
+			for _, k := range shard {
+				if co.placed[k] == w {
 					continue
 				}
 				d, err := co.rt.EncodeClusterDelta(k)
@@ -443,20 +371,25 @@ func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) (
 				}
 				req.AdoptDeltas = append(req.AdoptDeltas, d)
 				// A cluster moving off a worker it was previously placed
-				// on is a reassignment — after a loss (seen mid-barrier on
-				// a retry pass or by the heartbeat between epochs) or by a
-				// latency-induced migration. Initial seeding (placed == "")
-				// and coordinator-resume re-seeding are not reassignments.
+				// on is a reassignment after a loss (seen mid-barrier on a
+				// retry pass or by the heartbeat between epochs). Initial
+				// seeding (placed == "") and coordinator-resume re-seeding
+				// are not reassignments.
 				if co.placed[k] != "" && co.cfg.Obs != nil {
 					co.cfg.Obs.Add(MetricShardReassigns, 1)
 				}
 			}
+			outs = append(outs, shardOut{worker: w, req: req})
+		}
+		var wg sync.WaitGroup
+		for i := range outs {
+			o := &outs[i]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				start := time.Now()
 				o.err = co.call(ctx, o.worker, func(cctx context.Context) error {
-					resp, err := co.cfg.Transport.RunShard(cctx, o.worker, req)
+					resp, err := co.cfg.Transport.RunShard(cctx, o.worker, o.req)
 					if err != nil {
 						return err
 					}
@@ -468,6 +401,10 @@ func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) (
 		}
 		wg.Wait()
 
+		// The skew is max/min seconds-per-cluster over this pass's
+		// successful calls: 1 with a single call, unsmoothed otherwise
+		// (the alert rule's hold period does the smoothing).
+		var minPer, maxPer float64
 		for i := range outs {
 			o := &outs[i]
 			if o.err != nil {
@@ -475,11 +412,18 @@ func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) (
 				// missing for the next pass.
 				continue
 			}
-			if len(o.resp.Results) != len(o.shard) {
+			if len(o.resp.Results) != len(o.req.Clusters) {
 				co.markDead(o.worker)
 				continue
 			}
-			co.noteShardSeconds(o.worker, o.secs, len(o.shard))
+			per := o.secs / float64(len(o.req.Clusters))
+			if minPer == 0 || per < minPer {
+				minPer = per
+			}
+			maxPer = max(maxPer, per)
+			if co.cfg.Obs != nil {
+				co.cfg.Obs.Set(obs.Series(MetricWorkerEpochSeconds, "worker", o.worker), o.secs)
+			}
 			for _, r := range o.resp.Results {
 				k := r.Row.Cluster
 				if !missing[k] {
@@ -489,6 +433,9 @@ func (co *Coordinator) barrier(ctx context.Context, epoch int, clusters []int) (
 				co.placed[k] = o.worker
 				results = append(results, r)
 			}
+		}
+		if minPer > 0 && co.cfg.Obs != nil {
+			co.cfg.Obs.Set(MetricShardLatencySkew, maxPer/minPer)
 		}
 	}
 	return results, nil

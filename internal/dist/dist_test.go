@@ -312,6 +312,57 @@ func TestWorkerHostOpenValidation(t *testing.T) {
 	}
 }
 
+// assignOwners maps each cluster to the one worker an Assign result
+// lists it under, failing the test on a duplicate or a missing cluster.
+func assignOwners(t *testing.T, clusters []int, m map[string][]int) map[int]string {
+	t.Helper()
+	owner := make(map[int]string, len(clusters))
+	for w, ks := range m {
+		for _, k := range ks {
+			if prev, dup := owner[k]; dup {
+				t.Fatalf("cluster %d assigned to both %s and %s", k, prev, w)
+			}
+			owner[k] = w
+		}
+	}
+	if len(owner) != len(clusters) {
+		t.Fatalf("assignment covers %d of %d clusters", len(owner), len(clusters))
+	}
+	for _, k := range clusters {
+		if _, ok := owner[k]; !ok {
+			t.Fatalf("cluster %d not assigned", k)
+		}
+	}
+	return owner
+}
+
+// TestAssignCoverage pins that Assign places every cluster on exactly
+// one of the given workers, for any worker count, before and after a
+// worker leaves.
+func TestAssignCoverage(t *testing.T) {
+	clusters := []int{0, 3, 4, 7, 11, 12, 19, 23, 31, 40}
+	pools := [][]string{
+		{"solo"},
+		{"a", "b"},
+		{"a", "b", "c", "d"},
+		{"a", "b", "d"},
+		{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w9", "w10", "w11"},
+	}
+	for _, workers := range pools {
+		m := Assign(clusters, workers)
+		listed := make(map[string]bool, len(workers))
+		for _, w := range workers {
+			listed[w] = true
+		}
+		for w := range m {
+			if !listed[w] {
+				t.Fatalf("workers %v: cluster assigned to unknown worker %q", workers, w)
+			}
+		}
+		assignOwners(t, clusters, m)
+	}
+}
+
 // TestRendezvousStability pins the property reassignment relies on:
 // removing one worker moves only that worker's clusters.
 func TestRendezvousStability(t *testing.T) {
@@ -319,28 +370,10 @@ func TestRendezvousStability(t *testing.T) {
 	for i := range clusters {
 		clusters[i] = i
 	}
-	workers := []string{"a", "b", "c", "d"}
-	before := Assign(clusters, workers)
-	after := Assign(clusters, []string{"a", "b", "d"})
-	ownerOf := func(m map[string][]int, k int) string {
-		for w, ks := range m {
-			for _, x := range ks {
-				if x == k {
-					return w
-				}
-			}
-		}
-		return ""
-	}
-	total := 0
-	for _, ks := range before {
-		total += len(ks)
-	}
-	if total != len(clusters) {
-		t.Fatalf("assignment covers %d of %d clusters", total, len(clusters))
-	}
+	before := assignOwners(t, clusters, Assign(clusters, []string{"a", "b", "c", "d"}))
+	after := assignOwners(t, clusters, Assign(clusters, []string{"a", "b", "d"}))
 	for _, k := range clusters {
-		was, is := ownerOf(before, k), ownerOf(after, k)
+		was, is := before[k], after[k]
 		if was != "c" && was != is {
 			t.Fatalf("cluster %d moved %s→%s though only worker c was removed", k, was, is)
 		}

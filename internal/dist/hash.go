@@ -1,21 +1,22 @@
 package dist
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/backoff"
 )
 
-// Rendezvous (highest-random-weight) hashing assigns clusters to
-// workers: cluster k belongs to the live worker maximizing
-// splitmix64(hash(worker) ^ hash(k)). Two properties matter here.
-// Stability: removing a worker moves only that worker's clusters — the
-// survivors' shards are untouched, so a reassignment never forces
-// needless handoffs. Determinism: the assignment is a pure function of
-// (cluster, worker set), so a restarted coordinator re-derives the same
-// placement. The merged result is independent of placement either way —
-// hashing only shapes who does the work.
+// Rendezvous (highest-random-weight) hashing is the coordinator's one
+// placement rule: every pending cluster k goes to the live worker
+// maximizing splitmix64(hash(worker) ^ hash(k)). Two properties matter
+// here. Stability: removing a worker moves only that worker's clusters —
+// within a run the live set only shrinks, so a cluster whose owner is
+// alive keeps it and stickiness needs no code of its own, while the dead
+// worker's orphans spread over the survivors by hash. Determinism: the
+// assignment is a pure function of (cluster, worker set), so a restarted
+// coordinator re-derives the same placement. The merged result is
+// independent of placement either way — hashing only shapes who does the
+// work.
 
 // hashString is FNV-1a folded through splitmix64 — the repo's house
 // string hash (backoff.SeedString), inlined for the xor-fold rendezvous
@@ -63,153 +64,4 @@ func Assign(clusters []int, workers []string) map[string][]int {
 		out[w] = append(out[w], k)
 	}
 	return out
-}
-
-// weightedKey turns worker w's uniform rendezvous score for cluster k
-// into a throughput-weighted draw: weight / -ln(u) with u the score
-// mapped into (0, 1) — the classic weighted-rendezvous transform. It is
-// monotone in the raw score, so equal weights reproduce the unweighted
-// Owner ordering exactly; a worker with twice the weight owns twice the
-// clusters in expectation.
-func weightedKey(w string, k int, weight float64) float64 {
-	u := (float64(rendezvousScore(w, k)) + 0.5) / math.Exp2(64)
-	return weight / -math.Log(u)
-}
-
-// WeightedOwner returns the worker owning cluster k under the given
-// per-worker weights (missing or non-positive entries default to 1; ties
-// break to the lexicographically smallest name). Empty worker sets
-// return "".
-func WeightedOwner(k int, workers []string, weights map[string]float64) string {
-	best := ""
-	var bestKey float64
-	for _, w := range workers {
-		wt := weights[w]
-		if wt <= 0 {
-			wt = 1
-		}
-		key := weightedKey(w, k, wt)
-		if best == "" || key > bestKey || (key == bestKey && w < best) {
-			best, bestKey = w, key
-		}
-	}
-	return best
-}
-
-// costOrDefault resolves a worker's seconds-per-cluster cost: its own
-// EWMA when known, otherwise the median of the fleet's known costs (a
-// new worker is assumed average, not free), otherwise 1.
-func costOrDefault(w string, secsPerCluster map[string]float64) float64 {
-	if c := secsPerCluster[w]; c > 0 {
-		return c
-	}
-	known := make([]float64, 0, len(secsPerCluster))
-	for _, c := range secsPerCluster {
-		if c > 0 {
-			known = append(known, c)
-		}
-	}
-	if len(known) == 0 {
-		return 1
-	}
-	sort.Float64s(known)
-	return known[len(known)/2]
-}
-
-// PlanShards places the pending clusters on the live workers for one
-// barrier pass, folding in placement history and observed latency:
-//
-//   - A cluster stays on the live worker already holding its state
-//     (stickiness — migration invalidates adopted state, so it must pay
-//     for itself).
-//   - A never-placed cluster goes to its latency-weighted rendezvous
-//     owner (weight = 1/cost, cost = the worker's EWMA epoch
-//     seconds-per-cluster).
-//   - An orphaned cluster (its holder died) goes to the survivor with
-//     the least predicted load — count × cost after the addition — not
-//     its raw rendezvous owner, which after a death can pile every
-//     orphan onto one survivor.
-//   - Hysteresis: if the sticky plan's predicted max/mean load ratio
-//     exceeds imbalanceRatio, stickiness has stopped paying for itself
-//     and the whole pending set is re-placed by weighted rendezvous —
-//     the latency-induced migration path.
-//
-// The function is pure: placement is derived state, and the merged
-// results are independent of who runs what, so latency-driven placement
-// cannot perturb the determinism contract.
-func PlanShards(pending []int, live []string, placed map[int]string, secsPerCluster map[string]float64, imbalanceRatio float64) map[string][]int {
-	if len(live) == 0 {
-		return map[string][]int{}
-	}
-	workers := append([]string(nil), live...)
-	sort.Strings(workers)
-	alive := make(map[string]bool, len(workers))
-	cost := make(map[string]float64, len(workers))
-	weight := make(map[string]float64, len(workers))
-	for _, w := range workers {
-		alive[w] = true
-		cost[w] = costOrDefault(w, secsPerCluster)
-		weight[w] = 1 / cost[w]
-	}
-	sorted := append([]int(nil), pending...)
-	sort.Ints(sorted)
-
-	// Sticky pass: keep live holders, weighted-rendezvous the fresh,
-	// least-load the orphans (after the sticky and fresh loads are known,
-	// so orphans fill the actual gaps).
-	plan := make(map[string][]int, len(workers))
-	counts := make(map[string]int, len(workers))
-	var orphans []int
-	for _, k := range sorted {
-		switch holder := placed[k]; {
-		case holder != "" && alive[holder]:
-			plan[holder] = append(plan[holder], k)
-			counts[holder]++
-		case holder == "":
-			w := WeightedOwner(k, workers, weight)
-			plan[w] = append(plan[w], k)
-			counts[w]++
-		default:
-			orphans = append(orphans, k)
-		}
-	}
-	for _, k := range orphans {
-		best := ""
-		var bestLoad float64
-		for _, w := range workers {
-			load := float64(counts[w]+1) * cost[w]
-			if best == "" || load < bestLoad {
-				best, bestLoad = w, load
-			}
-		}
-		plan[best] = append(plan[best], k)
-		counts[best]++
-	}
-
-	// Hysteresis check over predicted loads. Max/mean (not max/min, which
-	// explodes when a worker legitimately holds nothing) across the live
-	// fleet; imbalanceRatio <= 1 disables migration entirely.
-	if imbalanceRatio > 1 {
-		var max, sum float64
-		for _, w := range workers {
-			load := float64(counts[w]) * cost[w]
-			sum += load
-			if load > max {
-				max = load
-			}
-		}
-		mean := sum / float64(len(workers))
-		if mean > 0 && max/mean > imbalanceRatio {
-			plan = make(map[string][]int, len(workers))
-			for _, k := range sorted {
-				w := WeightedOwner(k, workers, weight)
-				plan[w] = append(plan[w], k)
-			}
-		}
-	}
-	for w, ks := range plan {
-		sort.Ints(ks)
-		plan[w] = ks
-	}
-	return plan
 }

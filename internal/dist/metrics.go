@@ -17,11 +17,11 @@ const (
 	// MetricWorkerEpochSeconds gauges one worker's wall-clock seconds for
 	// its last shard call, labeled {worker="..."} via obs.Series.
 	MetricWorkerEpochSeconds = "dist_epoch_seconds"
-	// MetricShardLatencySkew gauges the fleet's latency imbalance: the
-	// max/min ratio of per-cluster EWMA epoch seconds across live workers
-	// with observations (1 when balanced or with a single worker). This
-	// is the concrete series the default shard-latency alert rule
-	// watches.
+	// MetricShardLatencySkew gauges the fleet's latency imbalance: max/min
+	// seconds-per-cluster over one barrier pass's calls (1 when a single
+	// call succeeded). Placement does not react to it, so a sustained
+	// skew means one straggler is pacing every barrier. This is the
+	// series the default shard-latency alert rule watches.
 	MetricShardLatencySkew = "dist_epoch_seconds_skew"
 )
 
@@ -30,8 +30,8 @@ const (
 // self-describing.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge(MetricWorkersLive, "workers the coordinator considers live")
-	reg.Counter(MetricShardReassigns, "cluster shards reassigned after worker loss or latency migration")
+	reg.Counter(MetricShardReassigns, "cluster shards reassigned after worker loss")
 	reg.Histogram(MetricEpochBarrierSeconds, "wall-clock seconds per distributed epoch barrier", nil)
 	reg.Gauge(MetricWorkerEpochSeconds, "per-worker wall-clock seconds for the last shard call")
-	reg.Gauge(MetricShardLatencySkew, "max/min per-cluster EWMA epoch seconds across live workers")
+	reg.Gauge(MetricShardLatencySkew, "max/min seconds-per-cluster over one barrier pass's calls")
 }

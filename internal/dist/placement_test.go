@@ -11,145 +11,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestWeightedOwnerReducesToOwner: with equal weights the weighted
-// rendezvous draw is a monotone transform of the raw score, so it must
-// reproduce the classic Owner assignment exactly — the property that
-// keeps latency weighting from churning a healthy, balanced fleet.
-func TestWeightedOwnerReducesToOwner(t *testing.T) {
-	workers := []string{"a", "b", "c", "d"}
-	for k := 0; k < 200; k++ {
-		if got, want := WeightedOwner(k, workers, nil), Owner(k, workers); got != want {
-			t.Fatalf("cluster %d: weighted owner %s, classic owner %s", k, got, want)
-		}
-	}
-}
-
-// TestWeightedOwnerThroughputBias: a worker that is 10× slower (weight
-// 1/10) must own far fewer clusters than its fair share.
-func TestWeightedOwnerThroughputBias(t *testing.T) {
-	workers := []string{"fast1", "fast2", "slow"}
-	weights := map[string]float64{"fast1": 1, "fast2": 1, "slow": 0.1}
-	slow := 0
-	const n = 300
-	for k := 0; k < n; k++ {
-		if WeightedOwner(k, workers, weights) == "slow" {
-			slow++
-		}
-	}
-	// Expectation is n * 0.1/2.1 ≈ 14; fair share would be 100.
-	if slow >= n/6 {
-		t.Fatalf("slow worker owns %d of %d clusters despite 10× cost", slow, n)
-	}
-	if slow == 0 {
-		t.Fatal("slow worker owns nothing — weighting collapsed to exclusion")
-	}
-}
-
-// TestPlanShardsOrphanSpread is the satellite's skew pin: when a worker
-// dies, its orphans must land on the least-loaded survivors instead of
-// wherever raw rendezvous piles them. A survivor already holding 20
-// clusters must receive none of the 10 orphans while an idle survivor
-// takes them all — and the loaded survivor's own clusters must not move
-// (stickiness).
-func TestPlanShardsOrphanSpread(t *testing.T) {
-	placed := map[int]string{}
-	var pending []int
-	for k := 0; k < 20; k++ { // big's committed holdings
-		placed[k] = "big"
-		pending = append(pending, k)
-	}
-	for k := 20; k < 30; k++ { // the dead worker's orphans
-		placed[k] = "dead"
-		pending = append(pending, k)
-	}
-	plan := PlanShards(pending, []string{"big", "idle"}, placed, nil, 2)
-	if n := len(plan["big"]); n != 20 {
-		t.Fatalf("loaded survivor holds %d clusters, want its sticky 20 (plan %v)", n, plan)
-	}
-	if n := len(plan["idle"]); n != 10 {
-		t.Fatalf("idle survivor got %d orphans, want all 10 (plan %v)", n, plan)
-	}
-	for _, k := range plan["big"] {
-		if k >= 20 {
-			t.Fatalf("orphan %d piled onto the loaded survivor", k)
-		}
-	}
-}
-
-// TestPlanShardsHysteresis: a slow worker holding everything trips the
-// max/mean bar and the plan re-places by latency-weighted rendezvous —
-// but below the bar, placement stays sticky even when costs differ.
-func TestPlanShardsHysteresis(t *testing.T) {
-	var pending []int
-	placed := map[int]string{}
-	for k := 0; k < 21; k++ {
-		pending = append(pending, k)
-		placed[k] = "slow"
-	}
-	live := []string{"fast1", "fast2", "slow"}
-	costs := map[string]float64{"slow": 1, "fast1": 0.01, "fast2": 0.01}
-
-	// One worker holding all 21 at 100× cost: max/mean = 3 > 2 → migrate.
-	plan := PlanShards(pending, live, placed, costs, 2)
-	if n := len(plan["slow"]); n >= 21 {
-		t.Fatalf("hysteresis never fired: slow worker keeps all %d clusters", n)
-	}
-	if len(plan["fast1"])+len(plan["fast2"]) == 0 {
-		t.Fatal("migration moved nothing to the fast workers")
-	}
-
-	// Balanced counts at equal cost: ratio 1 → nothing moves.
-	balanced := map[int]string{}
-	for k := 0; k < 21; k++ {
-		balanced[k] = live[k%3]
-	}
-	stay := PlanShards(pending, live, balanced, nil, 2)
-	for _, w := range live {
-		for _, k := range stay[w] {
-			if balanced[k] != w {
-				t.Fatalf("cluster %d migrated %s→%s with a balanced fleet", k, balanced[k], w)
-			}
-		}
-	}
-}
-
-// TestPlanShardsCoverage: every pending cluster lands on exactly one
-// live worker, whatever the placement history says.
-func TestPlanShardsCoverage(t *testing.T) {
-	var pending []int
-	placed := map[int]string{}
-	for k := 0; k < 40; k++ {
-		pending = append(pending, k)
-		switch k % 4 {
-		case 0:
-			placed[k] = "gone"
-		case 1:
-			placed[k] = "a"
-		}
-	}
-	plan := PlanShards(pending, []string{"a", "b"}, placed, map[string]float64{"a": 0.5}, 2)
-	seen := map[int]string{}
-	for w, ks := range plan {
-		for _, k := range ks {
-			if prev, dup := seen[k]; dup {
-				t.Fatalf("cluster %d planned on both %s and %s", k, prev, w)
-			}
-			seen[k] = w
-		}
-	}
-	if len(seen) != len(pending) {
-		t.Fatalf("plan covers %d of %d clusters", len(seen), len(pending))
-	}
-}
-
-// TestCoordinatorLatencyMigration is the acceptance pin for
-// latency-weighted placement: one worker of three stalls 250ms per shard
-// call, the EWMA accumulates the cost, the hysteresis bar trips, and the
-// coordinator migrates clusters off the slow worker mid-run — while the
-// merged summary and snapshot stay byte-identical to the single-process
-// run, and the per-worker dist_epoch_seconds gauges plus the skew series
-// are emitted.
-func TestCoordinatorLatencyMigration(t *testing.T) {
+// TestCoordinatorSlowWorker: one worker of three stalls 250ms per shard
+// call. Slowness is not death, so placement stays on the rendezvous
+// owners and nothing is reassigned; the merged summary and snapshot stay
+// byte-identical to the single-process run, and the per-worker
+// dist_epoch_seconds gauges plus a skew above 1 report the straggler.
+func TestCoordinatorSlowWorker(t *testing.T) {
 	wantSum, wantSnap := referenceRun(t)
 	cfg, lt := testConfig(3)
 	reg := obs.NewRegistry()
@@ -159,8 +26,8 @@ func TestCoordinatorLatencyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stall whichever worker the opening rendezvous pass loads most, so
-	// the injected latency actually lands on owned clusters.
+	// Stall whichever worker rendezvous loads most, so the injected
+	// latency actually lands on owned clusters.
 	f, fc, err := testBuilder(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -184,23 +51,12 @@ func TestCoordinatorLatencyMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := coordSummaryJSON(t, s); !bytes.Equal(got, wantSum) {
-		t.Fatalf("post-migration summary diverges from single-process run:\n got %s\nwant %s", got, wantSum)
+		t.Fatalf("slow-worker summary diverges from single-process run:\n got %s\nwant %s", got, wantSum)
 	}
 	if got := coordSnapshotJSON(t, co); !bytes.Equal(got, wantSnap) {
-		t.Fatal("post-migration snapshot diverges from single-process run")
+		t.Fatal("slow-worker snapshot diverges from single-process run")
 	}
 
-	// The slow worker must have lost clusters to the fast ones.
-	onSlow := 0
-	for _, w := range co.Placement() {
-		if w == slow {
-			onSlow++
-		}
-	}
-	total := len(co.Placement())
-	if onSlow == total {
-		t.Fatalf("all %d clusters still on the slow worker", total)
-	}
 	var reassigns, skew float64
 	perWorker := 0
 	for _, m := range reg.Snapshot() {
@@ -213,13 +69,13 @@ func TestCoordinatorLatencyMigration(t *testing.T) {
 			perWorker++
 		}
 	}
-	if reassigns == 0 {
-		t.Fatal("latency migration recorded no shard reassignments")
-	}
-	if skew < 1 {
-		t.Fatalf("skew gauge %g, want >= 1", skew)
+	if reassigns != 0 {
+		t.Fatalf("a slow but live worker lost %g clusters to reassignment", reassigns)
 	}
 	if perWorker == 0 {
 		t.Fatal("no per-worker dist_epoch_seconds series emitted")
+	}
+	if skew <= 1 {
+		t.Fatalf("skew gauge %g with a 250ms straggler, want > 1", skew)
 	}
 }

@@ -54,9 +54,9 @@ func NewLocalTransport() *LocalTransport {
 }
 
 // Delay makes every subsequent RunShard against the named worker stall
-// for d before executing — the fabric's slow-worker injection for
-// latency-placement tests. Pings are unaffected (a slow worker is alive,
-// just slow). Zero removes the stall.
+// for d before executing — the fabric's slow-worker injection. Pings
+// are unaffected (a slow worker is alive, just slow). Zero removes the
+// stall.
 func (t *LocalTransport) Delay(name string, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

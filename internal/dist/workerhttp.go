@@ -21,8 +21,8 @@ import (
 //	DELETE /v1/worker/sessions/{id}              → 204
 //
 // Error mapping: unknown session 404, protocol violations (epoch out of
-// step, mismatched state) 409, undecodable bodies 400, everything else
-// 500. The body of a failure is the error text — the coordinator folds
+// step, mismatched state) 409, undecodable bodies (malformed JSON, a
+// corrupt adoption delta) 400, everything else 500. The body of a failure is the error text — the coordinator folds
 // it into its own error.
 
 // Handler returns the worker API as a self-contained http.Handler,
@@ -74,6 +74,8 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, field.ErrShardEpoch), errors.Is(err, field.ErrShardMismatch):
 		code = http.StatusConflict
+	case errors.Is(err, field.ErrDeltaCorrupt):
+		code = http.StatusBadRequest
 	}
 	http.Error(w, err.Error(), code)
 }

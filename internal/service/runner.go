@@ -293,15 +293,23 @@ func (m *Manager) Jobs() []Job { return m.store.list() }
 // immediately and never start; running jobs stop at their next epoch
 // boundary. A recurring job's chain ends with it.
 func (m *Manager) Cancel(id string) error {
-	var wasTerminal bool
+	var wasTerminal, running bool
+	now := time.Now().UTC()
 	j, ok := m.store.update(id, func(x *Job) {
 		if x.State.Terminal() {
 			wasTerminal = true
 			return
 		}
+		// The state decides who writes the finish: a queued job never
+		// starts once cancelled (the runner only starts queued jobs), so
+		// its finish is stamped in the same update as the state flip.
+		running = x.State == StateRunning
 		x.State = StateCancelled
 		x.RetryState = ""
 		x.NextRun = nil
+		if !running {
+			x.Finished = &now
+		}
 	})
 	if !ok {
 		return ErrNotFound
@@ -309,9 +317,12 @@ func (m *Manager) Cancel(id string) error {
 	if wasTerminal {
 		return ErrJobDone
 	}
-	m.mu.Lock()
-	cancel := m.cancels[id]
-	m.mu.Unlock()
+	var cancel context.CancelFunc
+	if running {
+		m.mu.Lock()
+		cancel = m.cancels[id]
+		m.mu.Unlock()
+	}
 	if cancel != nil {
 		// Running: persist the cancelled state, then interrupt at the
 		// next boundary; the runner writes the finish.
@@ -320,14 +331,16 @@ func (m *Manager) Cancel(id string) error {
 		}
 		cancel()
 	} else {
-		// Queued, backoff-parked or breaker-parked: there is no attempt
-		// in flight and possibly no worker due to touch the job for a
-		// long time, so finish it here — drop the scheduler entry (frees
-		// its queue slot now, not at its NextRun), stamp the finish time,
-		// persist, and close the feed.
+		// Queued, backoff-parked or breaker-parked (or left running by a
+		// shutdown drain): there is no attempt in flight and possibly no
+		// worker due to touch the job for a long time, so finish it here
+		// — drop the scheduler entry (frees its queue slot now, not at
+		// its NextRun), stamp the finish time, persist, and close the
+		// feed.
 		m.sched.remove(id)
-		now := time.Now().UTC()
-		j, _ = m.store.update(id, func(x *Job) { x.Finished = &now })
+		if running {
+			j, _ = m.store.update(id, func(x *Job) { x.Finished = &now })
+		}
 		if err := m.spool.SaveManifest(&j); err != nil {
 			return err
 		}
@@ -526,10 +539,16 @@ func (m *Manager) runJob(id string) {
 	}()
 
 	// Gauge up before the state flips so anyone who observes a job in
-	// StateRunning also observes a non-zero running gauge.
+	// StateRunning also observes a non-zero running gauge, and down
+	// (release, once on every path) before any terminal flip, so anyone
+	// who observes the job finished no longer counts it running.
 	if m.obs != nil {
 		m.obs.Set(MetricJobsRunning, float64(m.running.Add(1)))
-		defer func() { m.obs.Set(MetricJobsRunning, float64(m.running.Add(-1))) }()
+	}
+	release := func() {
+		if m.obs != nil {
+			m.obs.Set(MetricJobsRunning, float64(m.running.Add(-1)))
+		}
 	}
 	now := time.Now().UTC()
 	var started bool
@@ -545,9 +564,11 @@ func (m *Manager) runJob(id string) {
 		x.NextRun = nil
 	})
 	if !started {
+		release()
 		return
 	}
 	if err := m.spool.SaveManifest(&j); err != nil {
+		release()
 		m.handleFailure(id, fmt.Errorf("persist manifest: %w", err))
 		return
 	}
@@ -569,6 +590,7 @@ func (m *Manager) runJob(id string) {
 	default:
 		err = fmt.Errorf("service: unknown job type %q", j.Spec.Type)
 	}
+	release()
 	if m.obs != nil {
 		m.obs.Observe(MetricJobSeconds, time.Since(start).Seconds())
 	}
