@@ -34,7 +34,14 @@ const (
 	// cluster mediums: row rebuilds from power changes/deaths plus
 	// incremental shadowing refreshes.
 	MetricRadioRefreshLinks = "radio_refresh_links_total"
+	// MetricStageSeconds is a histogram of wall-clock seconds per epoch
+	// stage, labeled stage=. The checkpoint stage (SeriesStageCheckpoint)
+	// is timed by whoever persists the boundary.
+	MetricStageSeconds = "field_stage_seconds"
 )
+
+// SeriesStageCheckpoint is the epoch-boundary checkpoint's stage series.
+var SeriesStageCheckpoint = obs.Series(MetricStageSeconds, "stage", "checkpoint")
 
 var (
 	seriesDeathBattery = obs.Series(MetricDeaths, "cause", "battery")
@@ -55,6 +62,7 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.Counter(MetricPlanCacheMisses, "epoch-boundary runner builds that re-solved the routing flow network")
 	reg.Gauge(MetricRadioPairs, "directed link powers materialized across all cluster radio mediums")
 	reg.Counter(MetricRadioRefreshLinks, "link power recomputations across all cluster radio mediums")
+	reg.Histogram(SeriesStageCheckpoint, "wall-clock seconds per epoch stage", nil)
 }
 
 // emitEpoch publishes one merged epoch: the field_* series and the

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -285,6 +286,33 @@ func TestRecurringField(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, m, j.ID, 60*time.Second, func(x Job) bool { return x.State.Terminal() })
+}
+
+// TestRecurrenceClearsCheckpoint: between the runs of a recurring field
+// job, its directory holds neither checkpoint file — not the boundary
+// record and not its journal — so the next run starts fresh.
+func TestRecurrenceClearsCheckpoint(t *testing.T) {
+	spec := testFieldSpec(2)
+	spec.EveryMS = 60_000
+	spool := t.TempDir()
+	m := newReliabilityManager(t, spool, -1, 0)
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, m, j.ID, 120*time.Second, func(x Job) bool { return x.Runs >= 1 && x.State == StateQueued })
+	entries, err := os.ReadDir(filepath.Join(spool, j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "snapshot.json") {
+			t.Fatalf("checkpoint file %s survived the run", e.Name())
+		}
+	}
+	if err := m.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestInteractiveOvertakesBackground: with one busy worker, an

@@ -824,7 +824,7 @@ func (m *Manager) finish(id string, result []byte) {
 // a resume — and the failure streak resets, so each recurrence gets the
 // full retry budget.
 func (m *Manager) recur(id string, every time.Duration) {
-	if err := os.Remove(m.spool.SnapshotPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := field.RemoveCheckpoint(m.spool.SnapshotPath(id)); err != nil {
 		m.log.Printf("job %s: clear checkpoint for recurrence: %v", id, err)
 	}
 	nr := time.Now().UTC().Add(every)
@@ -910,18 +910,34 @@ func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, erro
 		if _, err := rt.RunEpoch(opts); err != nil {
 			return nil, err
 		}
-		if err := rt.Snapshot().WriteFile(snapPath); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		ej, _ := m.store.update(id, func(x *Job) { x.Epoch = rt.Epoch() })
-		if err := m.spool.SaveManifest(&ej); err != nil {
-			return nil, fmt.Errorf("checkpoint manifest: %w", err)
-		}
-		if m.obs != nil {
-			m.obs.Add(MetricCheckpoints, 1)
+		if err := m.checkpoint(id, snapPath, rt.Snapshot()); err != nil {
+			return nil, err
 		}
 	}
 	return json.MarshalIndent(rt.Summary(), "", "  ")
+}
+
+// checkpoint persists an epoch boundary: the snapshot first (see
+// field.Snapshot.WriteFile), then the manifest's epoch counter. With an
+// observer it counts the checkpoint and times both writes as the
+// checkpoint stage.
+func (m *Manager) checkpoint(id, path string, sn *field.Snapshot) error {
+	var start time.Time
+	if m.obs != nil {
+		start = time.Now()
+	}
+	if err := sn.WriteFile(path); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	ej, _ := m.store.update(id, func(x *Job) { x.Epoch = sn.Epoch })
+	if err := m.spool.SaveManifest(&ej); err != nil {
+		return fmt.Errorf("checkpoint manifest: %w", err)
+	}
+	if m.obs != nil {
+		m.obs.Add(MetricCheckpoints, 1)
+		obs.ObserveDuration(m.obs, field.SeriesStageCheckpoint, time.Since(start))
+	}
+	return nil
 }
 
 // runDist executes (or resumes) a distributed field job: this process
@@ -966,15 +982,8 @@ func (m *Manager) runDist(ctx context.Context, id string, j *Job) ([]byte, error
 		HeartbeatTimeout:  time.Duration(spec.HeartbeatTimeoutMS) * time.Millisecond,
 		Obs:               m.obs,
 		OnCommit: func(sn *field.Snapshot, rep *field.EpochReport) error {
-			if err := sn.WriteFile(snapPath); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-			ej, _ := m.store.update(id, func(x *Job) { x.Epoch = rep.Epoch + 1 })
-			if err := m.spool.SaveManifest(&ej); err != nil {
-				return fmt.Errorf("checkpoint manifest: %w", err)
-			}
-			if m.obs != nil {
-				m.obs.Add(MetricCheckpoints, 1)
+			if err := m.checkpoint(id, snapPath, sn); err != nil {
+				return err
 			}
 			fd.Publish("epoch", rep)
 			return nil

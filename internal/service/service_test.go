@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/field"
+	"repro/internal/obs"
 )
 
 // testFieldSpec is a small churned field job: big enough that an epoch
@@ -201,6 +202,28 @@ func TestUninterruptedService(t *testing.T) {
 	}
 	if !bytes.Equal(fin.Result, want) {
 		t.Fatal("service result differs from direct field run")
+	}
+}
+
+// TestCheckpointStageObserved: every epoch boundary of a field job lands
+// one sample in the checkpoint stage histogram.
+func TestCheckpointStageObserved(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := New(Config{SpoolDir: t.TempDir(), Workers: 1, Obs: reg.Observer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer stopManager(t, m)
+	j, err := m.Submit(testFieldSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitJob(t, m, j.ID, 60*time.Second, func(x Job) bool { return x.State.Terminal() }); fin.State != StateDone {
+		t.Fatalf("job finished %s (%s)", fin.State, fin.Error)
+	}
+	if n := reg.Histogram(field.SeriesStageCheckpoint, "", nil).Count(); n != 3 {
+		t.Fatalf("checkpoint stage samples = %d, want 3", n)
 	}
 }
 

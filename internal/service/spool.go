@@ -13,7 +13,8 @@ import (
 // Spool is the service's durable state: one directory per job holding
 //
 //	<dir>/<job-id>/manifest.json    the Job record (spec + lifecycle)
-//	<dir>/<job-id>/snapshot.json    latest field.Snapshot (field jobs)
+//	<dir>/<job-id>/snapshot.json    field checkpoint boundary record (field jobs)
+//	<dir>/<job-id>/snapshot.json.journal  its append-only epoch-report journal
 //	<dir>/<job-id>/result.json      terminal payload (done jobs)
 //	<dir>/_dead/<job-id>.json       dead-letter copies for operator review
 //
@@ -60,8 +61,10 @@ func (sp *Spool) jobPath(id string) string {
 	return filepath.Join(sp.dir, id)
 }
 
-// SnapshotPath returns where the job's field checkpoint lives. The file
-// is written by field.Snapshot.WriteFile (atomic) from the runner.
+// SnapshotPath returns where the job's field checkpoint lives: the
+// boundary record, with its epoch-report journal beside it. The runner
+// writes both with field.Snapshot.WriteFile, reads them with
+// field.ReadSnapshotFile and deletes them with field.RemoveCheckpoint.
 func (sp *Spool) SnapshotPath(id string) string {
 	return filepath.Join(sp.dir, id, "snapshot.json")
 }
