@@ -176,23 +176,19 @@ type Runner struct {
 // NewRunner plans routing (and sectors when enabled) for the cluster and
 // returns a ready runtime.
 func NewRunner(c *topo.Cluster, p Params) (*Runner, error) {
-	return NewRunnerCached(c, p, nil)
+	return NewRunnerScratch(c, p, nil, nil)
 }
 
-// NewRunnerCached is NewRunner with a routing plan cache: when cache holds
-// a plan for the cluster's current connectivity revision and demand, the
-// flow solve is skipped and the cached plan reused. The plan is a pure
-// function of (connectivity, demand, search), so a hit changes nothing
-// about the runner's behavior — cached and freshly solved runners are
-// byte-identical. A nil cache plans from scratch every time.
-func NewRunnerCached(c *topo.Cluster, p Params, cache *routing.PlanCache) (*Runner, error) {
-	return NewRunnerScratch(c, p, cache, nil)
-}
-
-// NewRunnerScratch is NewRunnerCached with an optional per-cluster
-// RunnerScratch donating reusable buffers. The runner behaves identically
-// to a scratch-free build; it is valid until the next runner is built
-// with the same scratch.
+// NewRunnerScratch is NewRunner with an optional routing plan cache and
+// an optional per-cluster RunnerScratch. When cache holds a plan for the
+// cluster's current connectivity revision and demand, the flow solve is
+// skipped and the cached plan reused. The plan is a pure function of
+// (connectivity, demand, search), so a hit changes nothing about the
+// runner's behavior — cached and freshly solved runners are
+// byte-identical. A nil cache plans from scratch every time. The scratch
+// donates reusable buffers; the runner behaves identically to a
+// scratch-free build and is valid until the next runner is built with
+// the same scratch.
 func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *RunnerScratch) (*Runner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

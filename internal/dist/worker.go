@@ -124,10 +124,3 @@ func (h *WorkerHost) Close(session string) {
 	defer h.mu.Unlock()
 	delete(h.sessions, session)
 }
-
-// Sessions counts the open sessions (exposition only).
-func (h *WorkerHost) Sessions() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.sessions)
-}

@@ -24,7 +24,7 @@ func TestWorkerHTTPStatus(t *testing.T) {
 		{"unknown session", "nope", `{"epoch":0,"clusters":[0]}`, http.StatusNotFound},
 		{"epoch out of step", "s", `{"epoch":5,"clusters":[0]}`, http.StatusConflict},
 		{"malformed json", "s", `{"epoch":`, http.StatusBadRequest},
-		{"corrupt delta", "s", `{"epoch":0,"clusters":[0],"adopt_deltas":[{"cluster":0,"base":-5}]}`, http.StatusBadRequest},
+		{"corrupt delta", "s", `{"epoch":0,"clusters":[0],"adopt_deltas":[{"cluster":0,"epoch":-1}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/worker/sessions/"+tc.session+"/epoch", "application/json", strings.NewReader(tc.body))
 		if err != nil {

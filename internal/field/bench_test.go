@@ -17,7 +17,7 @@ import (
 // fixture's clusters alone would hold hundreds of millions of matrix
 // entries; the sparse rows keep the whole run within a few hundred MB.
 //
-//	go run ./cmd/benchjson -bench FieldEpochLarge -benchtime 1x -o BENCH_PR6.json
+//	go test -run '^$' -bench FieldEpochLarge -benchtime 1x ./internal/field
 func BenchmarkFieldEpochLarge(b *testing.B) {
 	prop := radio.NewLogDistance(3.5, 1)
 	cfg := topo.DefaultConfig(0, 0)
@@ -62,7 +62,7 @@ func BenchmarkFieldEpochLarge(b *testing.B) {
 // of the epoch); on a single-CPU host the pooled numbers mostly show the
 // goroutine overhead.
 //
-//	go run ./cmd/benchjson -bench FieldEpoch -o BENCH_PR3.json
+//	go test -run '^$' -bench 'FieldEpoch$' ./internal/field
 func BenchmarkFieldEpoch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -24,32 +24,29 @@ const (
 // batteries and kills the sensors whose batteries empty, appending their
 // deaths (ascending by sensor — the canonical boundary order) to deaths.
 // Stranded-but-powered sensors drain sleep energy like everyone else;
-// already-dead sensors are left alone. The deaths are applied as one
-// batch: one connectivity rebuild instead of one per death. Returns
-// whether the cluster's connectivity changed.
+// already-dead sensors are left alone. The deaths go to the dead book and
+// reach the topology as one batch in syncDeaths: one connectivity
+// rebuild instead of one per death. Returns whether a sensor died.
 func (rt *Runtime) batteryChurnCluster(epoch, k int, sum *cluster.Summary, cycles int, deaths *[]Death) bool {
-	c := rt.clusters[k]
-	s := &rt.slots[k]
-	victims := s.victims[:0]
-	for v := 1; v <= c.Sensors(); v++ {
+	died := false
+	for v := 1; v <= rt.clusters[k].Sensors(); v++ {
 		if rt.dead[k][v] {
 			continue
 		}
 		rt.batteries[k][v] -= sensorEnergy(rt.em, sum.MeanProfiles[v], cycles)
 		if rt.batteries[k][v] <= 0 {
 			rt.batteries[k][v] = 0
-			victims = append(victims, v)
+			rt.dead[k][v] = true
+			died = true
 			*deaths = append(*deaths, Death{
 				Epoch: epoch, Cluster: k, Sensor: v, Cause: "battery",
 			})
 		}
 	}
-	s.victims = victims
-	if len(victims) == 0 {
-		return false
+	if died {
+		rt.syncDeaths(k)
 	}
-	rt.killBatch(k, victims)
-	return true
+	return died
 }
 
 // faultChurnCluster draws cluster k's injected-fault coin for the
@@ -71,27 +68,33 @@ func (rt *Runtime) faultChurnCluster(epoch, k int, deaths *[]Death) bool {
 	}
 	pick := hashMix(seed, uint64(epoch), uint64(k), saltVictim)
 	v := alive[int(pick%uint64(len(alive)))]
-	rt.kill(k, v)
+	rt.dead[k][v] = true
+	rt.syncDeaths(k)
 	*deaths = append(*deaths, Death{
 		Epoch: epoch, Cluster: k, Sensor: v, Cause: "fault",
 	})
 	return true
 }
 
-// kill removes sensor v of cluster k from the network: transmit power to
-// zero, connectivity and levels rebuilt (topo.Cluster.MarkFailed).
-func (rt *Runtime) kill(k, v int) {
-	rt.dead[k][v] = true
-	rt.clusters[k].MarkFailed(v)
-}
-
-// killBatch removes several sensors of cluster k at once, paying one
-// connectivity rebuild for the whole batch.
-func (rt *Runtime) killBatch(k int, victims []int) {
-	for _, v := range victims {
-		rt.dead[k][v] = true
+// syncDeaths brings cluster k's topology up to its dead book: every
+// sensor the book marks dead but the medium still powers (a live
+// sensor's transmit power is never zero) is taken out in one
+// topo.Cluster.MarkFailedBatch, equal to sequential MarkFailed in any
+// order. It is the only place a death reaches a topology: the churn
+// calls it after marking the book, and runCluster calls it before the
+// cluster runs, which catches up deaths that merge, adoption or Resume
+// wrote to the book alone.
+func (rt *Runtime) syncDeaths(k int) {
+	c := rt.clusters[k]
+	s := &rt.slots[k]
+	victims := s.victims[:0]
+	for v, isDead := range rt.dead[k] {
+		if isDead && c.Med.TxPower(v) != 0 {
+			victims = append(victims, v)
+		}
 	}
-	rt.clusters[k].MarkFailedBatch(victims)
+	s.victims = victims
+	c.MarkFailedBatch(victims)
 }
 
 // shadowEnabled reports whether shadow churn is configured and the

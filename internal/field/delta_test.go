@@ -11,7 +11,7 @@ import (
 
 // TestDeltaRoundTrip is the codec's property test: after every epoch of
 // a fully churned run (battery deaths, faults, shadow shifts), encoding
-// each cluster against the initial base, sending it over the wire and
+// each cluster's full state, sending it over the wire and
 // adopting it must reproduce the cluster's dead and battery books
 // exactly, and re-encoding the adoptee must give the same delta — the
 // encoding is lossless.
@@ -54,9 +54,12 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaAdoptionEquivalence: a fresh worker that adopts every cluster
+// TestDeltaAdoptionEquivalence: a worker that adopts every cluster
 // through the delta wire form must continue the run exactly as the
-// source does — pinned by running the next epoch on both.
+// source does — pinned by running the next epoch on both. The adoptee is
+// either fresh or stale: one that ran epochs 0–1 itself, so its
+// topology already holds some deaths and a shadow revision, and must
+// catch up to the adopted books before it runs.
 func TestDeltaAdoptionEquivalence(t *testing.T) {
 	src := newShardWorker(t)
 	ks := src.ClusterIndexes()
@@ -65,34 +68,112 @@ func TestDeltaAdoptionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	viaDelta := newShardWorker(t)
+	var handoff []ClusterDelta
 	for _, k := range ks {
 		d, err := src.EncodeClusterDelta(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := viaDelta.AdoptClusterDelta(d); err != nil {
-			t.Fatal(err)
-		}
+		handoff = append(handoff, d)
 	}
 	a, err := src.RunShardEpoch(exp.Options{}, 3, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := viaDelta.RunShardEpoch(exp.Options{}, 3, ks)
+	// The planner's work depends on the plan cache's history, which
+	// adoption does not ship; the plans themselves do not.
+	mask := func(rs []ClusterResult) []byte {
+		for i := range rs {
+			rs[i].CacheHit, rs[i].Solves, rs[i].Augments = false, 0, 0
+		}
+		b, _ := json.Marshal(rs)
+		return b
+	}
+	ja := mask(a)
+	for _, ran := range []int{0, 2} {
+		adoptee := newShardWorker(t)
+		for epoch := 0; epoch < ran; epoch++ {
+			if _, err := adoptee.RunShardEpoch(exp.Options{}, epoch, ks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range handoff {
+			if err := adoptee.AdoptClusterDelta(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := adoptee.RunShardEpoch(exp.Options{}, 3, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jb := mask(b); string(ja) != string(jb) {
+			t.Fatalf("adoptee that ran %d epochs diverges after adoption:\n source  %s\n adoptee %s", ran, ja, jb)
+		}
+	}
+}
+
+// TestMergeWritesOnlyBooks pins the coordinator's role: a runtime that
+// only merges another runtime's results never touches a topology — every
+// cluster's connectivity revision stays at its build value — while its
+// dead and battery books follow the source's exactly.
+func TestMergeWritesOnlyBooks(t *testing.T) {
+	src, coord := newShardWorker(t), newShardWorker(t)
+	ks := src.ClusterIndexes()
+	built := make(map[int]uint64)
+	for _, k := range ks {
+		built[k] = coord.clusters[k].ConnectivityRev()
+	}
+	deaths := 0
+	for epoch := 0; epoch < 3; epoch++ {
+		res, err := src.RunShardEpoch(exp.Options{}, epoch, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := coord.MergeEpoch(nil, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deaths += len(rep.Deaths)
+		for _, k := range ks {
+			if got := coord.clusters[k].ConnectivityRev(); got != built[k] {
+				t.Fatalf("epoch %d cluster %d: merge moved the connectivity revision %d -> %d", epoch, k, built[k], got)
+			}
+			if !reflect.DeepEqual(coord.dead[k], src.dead[k]) || !reflect.DeepEqual(coord.batteries[k], src.batteries[k]) {
+				t.Fatalf("epoch %d cluster %d: merged books diverge from the source", epoch, k)
+			}
+		}
+	}
+	if deaths == 0 {
+		t.Fatal("no deaths in 3 epochs: the test exercises nothing")
+	}
+}
+
+// TestResumeTopologyCatchesUp: a runtime resumed from any epoch's
+// Snapshot holds only books; once each cluster catches up the way
+// runCluster does (syncDeaths, then refreshTo), every cluster's graph and
+// levels equal the running runtime's.
+func TestResumeTopologyCatchesUp(t *testing.T) {
+	f, cfg := buildChurnField()
+	rt, err := New(f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The planner's work depends on the plan cache's history, which
-	// adoption does not ship; the plans themselves do not.
-	for i := range a {
-		a[i].CacheHit, a[i].Solves, a[i].Augments = false, 0, 0
-		b[i].CacheHit, b[i].Solves, b[i].Augments = false, 0, 0
-	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("epoch after adoption diverges:\n source  %s\n adoptee %s", ja, jb)
+	for rt.Epoch() < cfg.epochs() {
+		if _, err := rt.RunEpoch(exp.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Resume(f, cfg, rt.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range rt.ClusterIndexes() {
+			res.syncDeaths(k)
+			res.refreshTo(k, res.revForEpoch(res.Epoch()))
+			want, got := rt.clusters[k], res.clusters[k]
+			if !got.G.Equal(want.G) || !reflect.DeepEqual(got.Level, want.Level) {
+				t.Fatalf("epoch %d cluster %d: resumed topology diverges from the running one", rt.Epoch(), k)
+			}
+		}
 	}
 }
 
@@ -160,8 +241,7 @@ func TestDeltaTypedErrors(t *testing.T) {
 			d.HasBatteries = false
 			d.BatteryIdx, d.BatteryVals = nil, nil
 		}, ErrShardMismatch},
-		{"base below initial", func(d *ClusterDelta) { d.Base = -2 }, ErrDeltaCorrupt},
-		{"epoch before base", func(d *ClusterDelta) { d.Base = 3; d.Epoch = 1 }, ErrDeltaCorrupt},
+		{"negative epoch", func(d *ClusterDelta) { d.Epoch = -1 }, ErrDeltaCorrupt},
 		{"wrong fingerprint", func(d *ClusterDelta) { d.Fingerprint = "00000000deadbeef" }, ErrShardMismatch},
 	}
 	for _, tc := range cases {
@@ -173,15 +253,6 @@ func TestDeltaTypedErrors(t *testing.T) {
 		if err := w.AdoptClusterDelta(d); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: adopt err = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-
-	// An incremental (committed-boundary) delta cannot be adopted — it
-	// needs the books at its base, so adoption is an epoch-protocol error.
-	inc := good
-	inc.Base = 1
-	inc.Epoch = 2
-	if err := w.AdoptClusterDelta(inc); !errors.Is(err, ErrShardEpoch) {
-		t.Fatalf("adopt incremental delta: err = %v, want ErrShardEpoch", err)
 	}
 }
 
@@ -205,9 +276,9 @@ func FuzzDeltaDecode(f *testing.F) {
 	seed, _ := json.Marshal(good)
 	f.Add(seed)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"cluster":0,"base":-1,"dead_gaps":[0]}`))
-	f.Add([]byte(`{"cluster":0,"base":-1,"battery_idx":[1,1],"battery_vals":[1]}`))
-	f.Add([]byte(`{"cluster":-3,"base":7,"epoch":2}`))
+	f.Add([]byte(`{"cluster":0,"dead_gaps":[0]}`))
+	f.Add([]byte(`{"cluster":0,"battery_idx":[1,1],"battery_vals":[1]}`))
+	f.Add([]byte(`{"cluster":-3,"epoch":2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d ClusterDelta
 		if json.Unmarshal(data, &d) != nil {

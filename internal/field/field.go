@@ -4,10 +4,10 @@
 // epoch every cluster runs its duty cycles and then its share of the
 // epoch boundary, where a deterministic, seed-derived churn engine
 // injects faults (battery depletion through real energy accounting,
-// relay death through topo.Cluster.MarkFailed, shadowing shifts through
-// radio.Medium.Refresh) and the affected clusters re-plan, so stranded
-// sensors drop out while the field keeps delivering for survivors —
-// the paper's Fig. 7(c) longitudinal story extended to whole fields.
+// relay death, shadowing shifts through radio.Medium.Refresh) and the
+// affected clusters re-plan, so stranded sensors drop out while the
+// field keeps delivering for survivors — the paper's Fig. 7(c)
+// longitudinal story extended to whole fields.
 //
 // There is one engine. RunShardEpoch runs a set of clusters on a pool
 // bounded by exp.Options.Workers and returns one ClusterResult each;
@@ -18,6 +18,12 @@
 // coordinator. The Section V-G channel coloring enters only through the
 // cycle arithmetic (cluster.TokenRotationCycle, cluster.ColoredCycle), so
 // the order clusters execute in affects no result.
+//
+// A cluster's boundary state is its dead and battery books. Churn,
+// MergeEpoch, AdoptClusterDelta and Resume write deaths to the dead book
+// only; the cluster's topology catches up to the book in one place,
+// syncDeaths (one topo.Cluster.MarkFailedBatch), the same way its links
+// catch up to the shadow revision in refreshTo.
 //
 // The runtime is deterministic by construction: an epoch is a closed
 // unit. Cluster runtimes are rebuilt at each epoch boundary from
@@ -302,7 +308,6 @@ type clusterSlot struct {
 	fingerprint string
 	// Churn and delta scratch.
 	victims, reach []int
-	preBatt        []float64
 	// refreshed is the medium's refreshed-links counter at the last radio
 	// emit, so radio_refresh_links_total advances by per-epoch deltas.
 	refreshed uint64

@@ -18,12 +18,15 @@ package field
 // a resumed runtime needs no history. That ownership is what lets
 // RunShardEpoch run its clusters on a pool.
 //
-// Handoff is a per-cluster miniature of Resume: an initial-base
-// ClusterDelta (delta.go) carries who is dead and the remaining
-// batteries; AdoptClusterDelta re-applies the deaths, restores the
-// batteries and moves the cluster's epoch forward. The adopting worker
-// then continues the cluster's trajectory exactly where the lost worker
-// left it.
+// The boundary state a process exchanges is a cluster's dead and battery
+// books, shipped as a full-state ClusterDelta (delta.go): every result
+// carries one, and handoff is a per-cluster miniature of Resume —
+// AdoptClusterDelta writes the books and moves the cluster's epoch
+// forward. MergeEpoch, AdoptClusterDelta and Resume write only the books;
+// a cluster's topology catches up to them in syncDeaths at the top of
+// runCluster, so a coordinator that only merges never touches a
+// topology, and an adopting worker continues the cluster's trajectory
+// exactly where the lost worker left it.
 
 import (
 	"errors"
@@ -78,8 +81,8 @@ type ClusterResult struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	Solves   int  `json:"solves,omitempty"`
 	Augments int  `json:"augments,omitempty"`
-	// Delta is the cluster's boundary state after the epoch, encoded
-	// against the boundary the epoch started from (delta.go).
+	// Delta is the cluster's full boundary state after the epoch
+	// (delta.go).
 	Delta *ClusterDelta `json:"delta,omitempty"`
 }
 
@@ -183,8 +186,10 @@ func (rt *Runtime) RunShardEpoch(o exp.Options, epoch int, ks []int) ([]ClusterR
 func (rt *Runtime) runCluster(o exp.Options, epoch, k int) error {
 	c := rt.clusters[k]
 	s := &rt.slots[k]
-	// The epoch runs under its revision's shadowing table; a cluster that
-	// skipped revisions (fresh adoptee, resumed runtime) catches up here.
+	// The topology catches up to the books — deaths that merge, adoption
+	// or Resume wrote — and then to the epoch's shadowing table, which a
+	// fresh adoptee or a resumed runtime may have skipped revisions of.
+	rt.syncDeaths(k)
 	rev := rt.revForEpoch(epoch)
 	rt.refreshTo(k, rev)
 
@@ -231,10 +236,8 @@ func (rt *Runtime) runCluster(o exp.Options, epoch, k int) error {
 	}
 
 	// The churn boundary: battery kills, then the fault draw, then the
-	// shadow shift. The pre-churn batteries are snapshotted first so the
-	// boundary delta can ship only the levels the churn moved.
+	// shadow shift.
 	if rt.batteries != nil {
-		s.preBatt = append(s.preBatt[:0], rt.batteries[k]...)
 		if rt.batteryChurnCluster(epoch, k, sum, cycles, &res.Deaths) {
 			res.Changed = true
 		}
@@ -251,10 +254,14 @@ func (rt *Runtime) runCluster(o exp.Options, epoch, k int) error {
 	}
 	res.Stranded = rt.strandedIn(k)
 
-	// The delta is freshly allocated: it stays in the slot for
-	// idempotent re-query.
-	res.Delta = rt.boundaryDelta(k, epoch, res.Deaths, s.preBatt)
+	// The delta, encoded at the completed epoch, is freshly allocated: it
+	// stays in the slot for idempotent re-query.
 	s.epoch = epoch + 1
+	d, err := rt.EncodeClusterDelta(k)
+	if err != nil {
+		return err
+	}
+	res.Delta = &d
 	s.result = res
 	return nil
 }
@@ -263,10 +270,11 @@ func (rt *Runtime) runCluster(o exp.Options, epoch, k int) error {
 // the only code that builds an EpochReport and advances the Summary. The
 // runtime must sit at the epoch the results are for, and the results
 // must cover exactly the field's non-empty clusters. The merge rebuilds
-// the report in cluster-index order, imports every boundary delta into
-// the runtime's dead and battery books (a no-op for results the runtime
-// produced itself), emits the field_* and routing series into o when it
-// is non-nil, and calls Config.OnEpoch.
+// the report in cluster-index order, writes every boundary delta into
+// the runtime's dead and battery books (an exact copy for results the
+// runtime produced itself) without touching any topology, emits the
+// field_* and routing series into o when it is non-nil, and calls
+// Config.OnEpoch.
 func (rt *Runtime) MergeEpoch(o obs.Observer, results []ClusterResult) (*EpochReport, error) {
 	epoch := rt.epoch
 	if rt.scratchByK == nil {
@@ -297,9 +305,9 @@ func (rt *Runtime) MergeEpoch(o obs.Observer, results []ClusterResult) (*EpochRe
 		if err := rt.checkDelta(r.Delta); err != nil {
 			return nil, err
 		}
-		if d := r.Delta; d.Epoch != epoch+1 || (d.Base != epoch && d.Base != DeltaBaseInitial) {
-			return nil, fmt.Errorf("field: %w: cluster %d delta goes from base %d to epoch %d, books are at %d",
-				ErrShardEpoch, k, d.Base, d.Epoch, epoch)
+		if r.Delta.Epoch != epoch+1 {
+			return nil, fmt.Errorf("field: %w: cluster %d delta is at epoch %d, merging epoch %d",
+				ErrShardEpoch, k, r.Delta.Epoch, epoch)
 		}
 		byK[k] = r
 	}
@@ -346,7 +354,9 @@ func (rt *Runtime) MergeEpoch(o obs.Observer, results []ClusterResult) (*EpochRe
 
 	// Everything is validated: commit. The boundary deltas keep the
 	// runtime's dead/battery books in step with the fleet — that is what
-	// makes its Snapshot the resume point and the source of handoffs.
+	// makes its Snapshot the resume point and the source of handoffs. A
+	// cluster this runtime runs later catches its topology up in
+	// runCluster.
 	var lifetime time.Duration
 	for _, r := range ordered {
 		rt.sum.OfferedTotal += r.Row.Offered

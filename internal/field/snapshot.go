@@ -436,15 +436,15 @@ func Resume(f *topo.Field, cfg Config, s *Snapshot) (*Runtime, error) {
 		return nil, fmt.Errorf("field: %w: snapshot at epoch %d with shadow revision %d, config implies %d",
 			ErrSnapshotMismatch, s.Epoch, s.ShadowRev, rt.revForEpoch(max(s.Epoch, 0)))
 	}
-	// Re-apply deaths (order-independent: each is a power zeroing plus a
-	// rebuild) and restore batteries. Each cluster's links catch up to the
-	// epoch's shadow revision when it next runs.
+	// Restore the dead and battery books. Each cluster's topology catches
+	// up to its deaths and to the epoch's shadow revision when it next
+	// runs.
 	for k, dead := range s.Dead {
 		for _, v := range dead {
 			if rt.clusters[k] == nil || v < 1 || v > rt.clusters[k].Sensors() {
 				return nil, fmt.Errorf("field: %w: snapshot kills sensor %d of cluster %d, out of range", ErrSnapshotMismatch, v, k)
 			}
-			rt.kill(k, v)
+			rt.dead[k][v] = true
 		}
 	}
 	for k := range rt.batteries {
