@@ -10,6 +10,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -168,8 +169,8 @@ type Runner struct {
 	// Obs costs one branch per cycle.
 	Obs      obs.Observer
 	cycleIdx int
-	// scr, when non-nil, donates the polling-phase buffers; it is bypassed
-	// while Trace is set, because traces retain schedules and requests.
+	// scr holds the demand, group and polling-phase buffers; Trace copies
+	// what it records out of them.
 	scr *RunnerScratch
 }
 
@@ -180,15 +181,15 @@ func NewRunner(c *topo.Cluster, p Params) (*Runner, error) {
 }
 
 // NewRunnerScratch is NewRunner with an optional routing plan cache and
-// an optional per-cluster RunnerScratch. When cache holds a plan for the
-// cluster's current connectivity revision and demand, the flow solve is
-// skipped and the cached plan reused. The plan is a pure function of
-// (connectivity, demand, search), so a hit changes nothing about the
-// runner's behavior — cached and freshly solved runners are
-// byte-identical. A nil cache plans from scratch every time. The scratch
-// donates reusable buffers; the runner behaves identically to a
-// scratch-free build and is valid until the next runner is built with
-// the same scratch.
+// a per-cluster RunnerScratch. When cache holds a plan for the cluster's
+// current connectivity revision and demand, the flow solve is skipped and
+// the cached plan reused. The plan is a pure function of (connectivity,
+// demand, search), so a hit changes nothing about the runner's behavior —
+// cached and freshly solved runners are byte-identical. A nil cache plans
+// from scratch every time. The runner keeps its buffers in the scratch and
+// is valid until the next runner is built with the same scratch; a nil
+// scratch is replaced by a zero-value one owned by the runner, which
+// behaves identically to a reused one.
 func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *RunnerScratch) (*Runner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -199,63 +200,44 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 	if p.PoissonTraffic {
 		gen = workload.NewPoisson(n, p.RateBps, p.DataBytes, p.Seed^0x50a550a5)
 	}
-	var demand []int
-	var unreachable []int
-	if scr != nil {
-		if cap(scr.demand) >= n+1 {
-			scr.demand = scr.demand[:n+1]
-			clear(scr.demand)
-		} else {
-			scr.demand = make([]int, n+1)
-		}
-		demand = scr.demand
-		unreachable = scr.unreachable[:0]
-	} else {
-		demand = make([]int, n+1)
+	if scr == nil {
+		scr = &RunnerScratch{}
 	}
+	scr.demand = slices.Grow(scr.demand[:0], n+1)[:n+1]
+	clear(scr.demand)
+	demand := scr.demand
+	scr.unreachable = scr.unreachable[:0]
 	for v := 1; v <= n; v++ {
 		if c.Level[v] > 0 {
 			demand[v] = cbr.PlanningDemand(p.Cycle)
 		} else {
 			// Failed or stranded sensors (topo.Cluster.MarkFailed) take
 			// no part in the cluster.
-			unreachable = append(unreachable, v)
+			scr.unreachable = append(scr.unreachable, v)
 		}
-	}
-	if scr != nil {
-		scr.unreachable = unreachable
 	}
 	plan := cache.Lookup(c.ConnectivityRev(), demand, p.Search)
 	if plan == nil {
-		var ws *routing.Workspace
-		if scr != nil {
-			ws = &scr.ws
-		}
 		var err error
-		plan, err = routing.BalancedPathsWS(ws, c.G, topo.Head, demand, p.Search)
+		plan, err = routing.BalancedPathsWS(&scr.ws, c.G, topo.Head, demand, p.Search)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: routing failed: %w", err)
 		}
 		cache.Store(c.ConnectivityRev(), demand, p.Search, plan)
 	}
-	var oracle *radio.TestedOracle
-	if scr != nil && scr.oracle != nil {
-		scr.oracle.Reset(radio.SINROracle{M: c.Med}, p.M)
-		oracle = scr.oracle
+	if scr.oracle == nil {
+		scr.oracle = radio.NewTestedOracle(radio.SINROracle{M: c.Med}, p.M)
 	} else {
-		oracle = radio.NewTestedOracle(radio.SINROracle{M: c.Med}, p.M)
-		if scr != nil {
-			scr.oracle = oracle
-		}
+		scr.oracle.Reset(radio.SINROracle{M: c.Med}, p.M)
 	}
 	r := &Runner{
 		C:           c,
 		P:           p,
 		Plan:        plan,
-		Oracle:      oracle,
+		Oracle:      scr.oracle,
 		gen:         gen,
 		demand:      demand,
-		Unreachable: unreachable,
+		Unreachable: scr.unreachable,
 		scr:         scr,
 	}
 	if p.UseSectors {
@@ -274,24 +256,14 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 			r.groupRoutes = append(r.groupRoutes, routes)
 		}
 	} else {
-		var all []int
-		if scr != nil {
-			all = scr.all[:0]
-		} else {
-			all = make([]int, 0, n)
-		}
+		scr.all = scr.all[:0]
 		for v := 1; v <= n; v++ {
 			if c.Level[v] > 0 {
-				all = append(all, v)
+				scr.all = append(scr.all, v)
 			}
 		}
-		if scr != nil {
-			scr.all = all
-			scr.groups = append(scr.groups[:0], all)
-			r.groups = scr.groups
-		} else {
-			r.groups = [][]int{all}
-		}
+		scr.groups = append(scr.groups[:0], scr.all)
+		r.groups = scr.groups
 		r.groupRoutes = nil // resolved per cycle from the rotation
 	}
 	return r, nil
@@ -338,7 +310,9 @@ type CycleResult struct {
 	// waited from their group's first data slot to arrival at the head.
 	MeanLatency, MaxLatency time.Duration
 
-	latSlotSum   float64 // accumulated mean-latency * packets, in seconds
+	// latSum is an integer sum, so it does not depend on the order in
+	// which the latency map is walked.
+	latSum       time.Duration
 	latMaxHolder time.Duration
 	latCount     int
 }
@@ -397,7 +371,7 @@ func (r *Runner) RunCycle() (*CycleResult, error) {
 		res.Duty += window
 	}
 	if res.latCount > 0 {
-		res.MeanLatency = time.Duration(res.latSlotSum / float64(res.latCount) * float64(time.Second))
+		res.MeanLatency = res.latSum / time.Duration(res.latCount)
 		res.MaxLatency = res.latMaxHolder
 	}
 	res.Delivered = res.Offered
@@ -427,31 +401,21 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 	loss core.LossFn, res *CycleResult) (time.Duration, error) {
 	p := r.P
 	scr := r.scr
-	if r.Trace != nil {
-		scr = nil // traced runs retain schedules and requests
-	}
-	var ackScratch, dataScratch *core.GreedyScratch
-	if scr != nil {
-		ackScratch, dataScratch = &scr.ack, &scr.data
-	}
 
 	// --- acknowledgment collection (Section V-F) ---
-	ackReqs, err := r.ackRequests(scr, group, routes)
+	ackReqs, err := r.ackRequests(group, routes)
 	if err != nil {
 		return 0, err
 	}
 	ackSched, ackStats, err := core.Greedy(ackReqs, core.Options{
-		Oracle: r.Oracle, Loss: loss, AllowDelay: p.AllowDelay, Scratch: ackScratch,
+		Oracle: r.Oracle, Loss: loss, AllowDelay: p.AllowDelay, Scratch: &scr.ack,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("cluster: ack polling failed: %w", err)
 	}
 
 	// --- data polling ---
-	var dataReqs []core.Request
-	if scr != nil {
-		dataReqs = scr.dataReqs[:0]
-	}
+	dataReqs := scr.dataReqs[:0]
 	id := 0
 	for _, v := range group {
 		route, ok := routes[v]
@@ -463,11 +427,9 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 			dataReqs = append(dataReqs, core.Request{ID: id, Route: route})
 		}
 	}
-	if scr != nil {
-		scr.dataReqs = dataReqs
-	}
+	scr.dataReqs = dataReqs
 	dataSched, dataStats, err := core.Greedy(dataReqs, core.Options{
-		Oracle: r.Oracle, Loss: loss, AllowDelay: p.AllowDelay, Scratch: dataScratch,
+		Oracle: r.Oracle, Loss: loss, AllowDelay: p.AllowDelay, Scratch: &scr.data,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("cluster: data polling failed: %w", err)
@@ -503,7 +465,7 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 	// Packet latency: time from the group's first data slot to arrival.
 	for _, lat := range trace.Latencies(dataSched) {
 		d := time.Duration(lat) * dataSlotDur
-		res.latSlotSum += d.Seconds()
+		res.latSum += d
 		res.latCount++
 		if d > res.latMaxHolder {
 			res.latMaxHolder = d
@@ -553,67 +515,43 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 // ackRequests builds the acknowledgment polling requests for a group: a
 // minimum-cost set of relaying paths covering every group sensor (greedy
 // weighted set cover, costs = hop counts), one ack packet per chosen path
-// starting at the path's first sensor. A non-nil scratch donates the
-// cover's input and output buffers.
-func (r *Runner) ackRequests(scr *RunnerScratch, group []int, routes map[int][]int) ([]core.Request, error) {
-	var indexOf map[int]int
-	var subsets []graph.Subset
-	var paths [][]int
-	if scr != nil {
-		if scr.indexOf == nil {
-			scr.indexOf = make(map[int]int, len(group))
-		} else {
-			clear(scr.indexOf)
-		}
-		indexOf = scr.indexOf
-		subsets = scr.subsets[:0]
-		paths = scr.paths[:0]
+// starting at the path's first sensor. The cover's input and output
+// buffers live in the runner's scratch.
+func (r *Runner) ackRequests(group []int, routes map[int][]int) ([]core.Request, error) {
+	scr := r.scr
+	if scr.indexOf == nil {
+		scr.indexOf = make(map[int]int, len(group))
 	} else {
-		indexOf = make(map[int]int, len(group))
-		subsets = make([]graph.Subset, 0, len(group))
-		paths = make([][]int, 0, len(group))
+		clear(scr.indexOf)
 	}
 	for i, v := range group {
-		indexOf[v] = i
+		scr.indexOf[v] = i
 	}
+	scr.subsets, scr.paths = scr.subsets[:0], scr.paths[:0]
 	for _, v := range group {
 		route := routes[v]
 		if route == nil {
-			if scr != nil {
-				scr.subsets, scr.paths = subsets, paths
-			}
 			return nil, fmt.Errorf("cluster: sensor %d has no candidate ack path", v)
 		}
 		var elems []int
-		subsets, elems = appendSubset(subsets)
+		scr.subsets, elems = appendSubset(scr.subsets)
 		for _, x := range route[:len(route)-1] {
-			if i, ok := indexOf[x]; ok {
+			if i, ok := scr.indexOf[x]; ok {
 				elems = append(elems, i)
 			}
 		}
-		subsets[len(subsets)-1] = graph.Subset{Elements: elems, Cost: float64(len(route) - 1)}
-		paths = append(paths, route)
+		scr.subsets[len(scr.subsets)-1] = graph.Subset{Elements: elems, Cost: float64(len(route) - 1)}
+		scr.paths = append(scr.paths, route)
 	}
-	if scr != nil {
-		scr.subsets, scr.paths = subsets, paths
-	}
-	chosen, _, err := graph.GreedySetCover(len(group), subsets)
+	chosen, _, err := graph.GreedySetCover(len(group), scr.subsets)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: ack cover failed: %w", err)
 	}
-	var reqs []core.Request
-	if scr != nil {
-		reqs = scr.ackReqs[:0]
-	} else {
-		reqs = make([]core.Request, 0, len(chosen))
-	}
+	scr.ackReqs = scr.ackReqs[:0]
 	for i, c := range chosen {
-		reqs = append(reqs, core.Request{ID: i + 1, Route: paths[c]})
+		scr.ackReqs = append(scr.ackReqs, core.Request{ID: i + 1, Route: scr.paths[c]})
 	}
-	if scr != nil {
-		scr.ackReqs = reqs
-	}
-	return reqs, nil
+	return scr.ackReqs, nil
 }
 
 // Summary aggregates many cycles.

@@ -18,8 +18,9 @@ import (
 // NewRunnerScratch rebuild of that cluster — scratch state is strictly
 // per-cluster, so the field's concurrent shard workers never share one.
 // A runner built with a scratch is valid until the next runner is built
-// with the same scratch. Traced runs (Runner.Trace set) automatically
-// bypass the polling-phase buffers, since traces retain schedules.
+// with the same scratch. Every runner runs on one: NewRunner gives each
+// runner a zero-value scratch of its own. Traced runs use the same
+// buffers, since Runner.Trace copies every event out of the schedule.
 type RunnerScratch struct {
 	oracle      *radio.TestedOracle
 	ws          routing.Workspace

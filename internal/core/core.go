@@ -132,12 +132,12 @@ type Options struct {
 	// request slice). Nil means natural order. The paper's algorithm
 	// scans "according to an arbitrarily predetermined order".
 	Order []int
-	// Scratch, when non-nil, donates reusable buffers to the run and
-	// receives them back: the returned Schedule and Stats then point into
-	// the scratch and are valid only until the next Greedy call with the
-	// same scratch. Behavior is otherwise identical. Only the pipelined
-	// (default) path uses it; the delay-allowed ablation always allocates
-	// fresh.
+	// Scratch donates reusable buffers to the run and receives them back:
+	// the returned Schedule and Stats point into the scratch and are valid
+	// only until the next Greedy call with the same scratch. Nil gives the
+	// call a private zero-value scratch, so its results are never
+	// overwritten. Only the pipelined (default) path keeps its buffers
+	// there; the delay-allowed ablation allocates its own.
 	Scratch *GreedyScratch
 }
 

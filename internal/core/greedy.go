@@ -23,17 +23,15 @@ func Greedy(reqs []Request, opt Options) (*Schedule, *Stats, error) {
 	if opt.Oracle == nil {
 		return nil, nil, fmt.Errorf("core: Options.Oracle is required")
 	}
-	var orderBuf []int
-	if opt.Scratch != nil {
-		orderBuf = opt.Scratch.order
+	gs := opt.Scratch
+	if gs == nil {
+		gs = new(GreedyScratch)
 	}
-	order, err := scanOrder(reqs, opt.Order, orderBuf)
+	order, err := scanOrder(reqs, opt.Order, gs.order)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Scratch != nil {
-		opt.Scratch.order = order
-	}
+	gs.order = order
 	totalHops := 0
 	for _, r := range reqs {
 		if err := r.Validate(); err != nil {
@@ -48,7 +46,7 @@ func Greedy(reqs []Request, opt Options) (*Schedule, *Stats, error) {
 	if opt.AllowDelay {
 		return greedyDelay(reqs, order, opt, maxSlots, totalHops)
 	}
-	return greedyPipelined(reqs, order, opt, maxSlots, totalHops)
+	return greedyPipelined(gs, reqs, order, opt, maxSlots)
 }
 
 func scanOrder(reqs []Request, order []int, buf []int) ([]int, error) {
@@ -83,31 +81,10 @@ type flight struct {
 	firstLoss int // hop index whose transmission is lost, or -1
 }
 
-func greedyPipelined(reqs []Request, order []int, opt Options, maxSlots, totalHops int) (*Schedule, *Stats, error) {
+func greedyPipelined(gs *GreedyScratch, reqs []Request, order []int, opt Options, maxSlots int) (*Schedule, *Stats, error) {
 	m := opt.maxConcurrent()
-	gs := opt.Scratch
-	var sched *Schedule
-	var st *Stats
-	if gs != nil {
-		sched, st = gs.reset(len(reqs))
-	} else {
-		sched = &Schedule{
-			// A lossless schedule never needs more than one slot per hop;
-			// the preallocation avoids growing the slot list one entry at
-			// a time.
-			Slots:     make([][]radio.Transmission, 0, totalHops),
-			Start:     make(map[int]int, len(reqs)),
-			Completed: make(map[int]int, len(reqs)),
-		}
-		st = newStats()
-	}
-
-	var active []bool
-	if gs != nil {
-		active = gs.bools(len(reqs))
-	} else {
-		active = make([]bool, len(reqs))
-	}
+	sched, st := gs.reset(len(reqs))
+	active := gs.bools(len(reqs))
 	remaining := len(reqs)
 	maxHops := 0
 	for i, r := range reqs {
@@ -120,21 +97,10 @@ func greedyPipelined(reqs []Request, order []int, opt Options, maxSlots, totalHo
 	// fixed ring indexed by slot replaces a map[int][]flight; buckets are
 	// reused across laps, making the steady state allocation-free.
 	ringSize := maxHops + 1
-	var arrivals [][]flight
-	var scratch []radio.Transmission
-	if gs != nil {
-		arrivals = gs.ring(ringSize)
-		scratch = gs.group[:0]
-	} else {
-		arrivals = make([][]flight, ringSize)
-		scratch = make([]radio.Transmission, 0, 16)
-	}
+	arrivals := gs.ring(ringSize)
 
 	for slot := 0; remaining > 0; slot++ {
 		if slot >= maxSlots {
-			if gs != nil {
-				gs.group = scratch
-			}
 			return sched, st, fmt.Errorf("core: polling exceeded %d slots with %d packets outstanding", maxSlots, remaining)
 		}
 		// Admission scan (the inner while-loop of Table 1): add active
@@ -144,7 +110,7 @@ func greedyPipelined(reqs []Request, order []int, opt Options, maxSlots, totalHo
 				continue
 			}
 			r := reqs[idx]
-			if !fits(sched, r, slot, m, opt.Oracle, &scratch) {
+			if !fits(sched, r, slot, m, opt.Oracle, &gs.group) {
 				continue
 			}
 			// Commit every hop to its slot. Growing within capacity keeps
@@ -201,9 +167,6 @@ func greedyPipelined(reqs []Request, order []int, opt Options, maxSlots, totalHo
 		arrivals[slot%ringSize] = bucket[:0]
 	}
 	st.Slots = len(sched.Slots)
-	if gs != nil {
-		gs.group = scratch
-	}
 	return sched, st, nil
 }
 

@@ -5,14 +5,16 @@ import "repro/internal/radio"
 // GreedyScratch holds the reusable buffers of a pipelined Greedy run: the
 // schedule's slot list (inner slot buckets included), the result maps,
 // the stats maps, the activity flags, the arrival ring and the oracle
-// scratch group. Pass one via Options.Scratch to make repeated polling
-// runs allocation-free in steady state.
+// scratch group. Every Greedy call runs on one: a nil Options.Scratch is
+// replaced by a zero-value scratch private to that call. Pass one via
+// Options.Scratch to make repeated polling runs allocation-free in steady
+// state.
 //
-// The Schedule and Stats returned by a scratch-backed Greedy call point
-// into the scratch: they are valid until the next Greedy call with the
-// same scratch. Callers that retain schedules (tracing, replay) must not
-// pass a scratch. The zero value is ready to use; a scratch serves one
-// goroutine at a time.
+// The Schedule and Stats returned by Greedy point into its scratch: they
+// are valid until the next Greedy call with the same scratch. Callers that
+// retain schedules (replay) must not share a scratch between the calls
+// whose schedules they keep. The zero value is ready to use; a scratch
+// serves one goroutine at a time.
 type GreedyScratch struct {
 	sched    Schedule
 	stats    Stats

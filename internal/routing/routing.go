@@ -78,10 +78,10 @@ func BalancedPaths(g *graph.Undirected, head int, demand []int, search DeltaSear
 	return BalancedPathsWS(nil, g, head, demand, search)
 }
 
-// BalancedPathsWS is BalancedPaths with an optional reusable Workspace;
-// a nil workspace plans with fresh allocations. The returned plan is
-// independent of the workspace and may outlive it — plan caches retain
-// plans across epochs while the workspace is recycled.
+// BalancedPathsWS is BalancedPaths with a reusable Workspace; a nil
+// workspace is replaced by a zero-value one private to the call. The
+// returned plan is independent of the workspace and may outlive it — plan
+// caches retain plans across epochs while the workspace is recycled.
 func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int, search DeltaSearch) (*Plan, error) {
 	if len(demand) != g.N() {
 		return nil, fmt.Errorf("routing: demand has %d entries for %d nodes", len(demand), g.N())
@@ -109,6 +109,9 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 	plan := &Plan{Head: head, Paths: make(map[int][]WeightedPath)}
 	if total == 0 {
 		return plan, nil
+	}
+	if ws == nil {
+		ws = new(Workspace)
 	}
 
 	// The network is built once at the layer-cut lower bound; the delta
@@ -150,11 +153,7 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 			// Warm-start every probe from the flow at the largest delta
 			// known infeasible: that flow respects the (larger) probe
 			// capacities, so only the missing flow is augmented.
-			var snap []int64
-			if ws != nil {
-				snap = ws.base
-			}
-			base := nw.fn.SaveFlow(snap)
+			base := nw.fn.SaveFlow(ws.base)
 			baseVal := flowVal
 			for hi := total; lo < hi; {
 				mid := (lo + hi) / 2
@@ -172,9 +171,7 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 				}
 			}
 			delta = lo
-			if ws != nil {
-				ws.base = base
-			}
+			ws.base = base
 		}
 	default:
 		return nil, fmt.Errorf("routing: unknown search strategy %d", search)
@@ -269,14 +266,11 @@ type network struct {
 // buildNetwork assembles the flow network: vertices 2v (input) and 2v+1
 // (output) for every original node v, a super source and the head's input
 // as sink. Link arcs need no lookup structure: the decomposition walks all
-// forward edges by id. A non-nil workspace donates (and receives back)
-// the network's backing arrays.
+// forward edges by id. The network lives in the workspace, whose backing
+// arrays it reuses.
 func buildNetwork(ws *Workspace, g *graph.Undirected, head int, demand []int, delta int64) *network {
 	n := g.N()
-	nw := &network{}
-	if ws != nil {
-		nw = &ws.nw
-	}
+	nw := &ws.nw
 	if nw.fn == nil {
 		nw.fn = graph.NewFlowNetwork(2*n + 1)
 	} else {
@@ -416,12 +410,9 @@ func (d *decomposer) nextEdge(u int) int {
 
 // decompose peels the solved flow into per-sensor weighted paths. Flow
 // cycles (possible in principle after augmentation) are cancelled on the
-// fly.
+// fly. The decomposer's state lives in the workspace.
 func (nw *network) decompose(ws *Workspace, demand []int) (map[int][]WeightedPath, error) {
-	d := &decomposer{}
-	if ws != nil {
-		d = &ws.dec
-	}
+	d := &ws.dec
 	d.reset(nw)
 	paths := make(map[int][]WeightedPath)
 	// Peel demand[v] units per sensor, in sensor order for determinism.

@@ -369,11 +369,11 @@ func TestWarmSearchMatchesColdSolve(t *testing.T) {
 		}
 		// Cold reference: a fresh network at the found delta, solved from
 		// zero flow, decomposed the same way.
-		nw := buildNetwork(nil, g, 0, demand, int64(lin.Delta))
+		nw := buildNetwork(new(Workspace), g, 0, demand, int64(lin.Delta))
 		if got := nw.fn.MaxFlow(nw.src, nw.sink); got != int64(total) {
 			t.Fatalf("trial %d: cold solve at delta %d pushed %d of %d", trial, lin.Delta, got, total)
 		}
-		cold, err := nw.decompose(nil, demand)
+		cold, err := nw.decompose(new(Workspace), demand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestWarmSearchMatchesColdSolve(t *testing.T) {
 		// Delta minimality: the cold network at delta-1 must not satisfy
 		// the demand (delta is the smallest feasible node capacity).
 		if lin.Delta > 0 {
-			low := buildNetwork(nil, g, 0, demand, int64(lin.Delta-1))
+			low := buildNetwork(new(Workspace), g, 0, demand, int64(lin.Delta-1))
 			if low.fn.MaxFlow(low.src, low.sink) == int64(total) {
 				t.Fatalf("trial %d: delta %d is not minimal", trial, lin.Delta)
 			}
@@ -490,7 +490,7 @@ func paperDelta(t *testing.T, g *graph.Undirected, demand []int, total int) int 
 		maxDemand = max(maxDemand, d)
 	}
 	for delta := maxDemand; delta <= total; delta++ {
-		nw := buildNetwork(nil, g, 0, demand, int64(delta))
+		nw := buildNetwork(new(Workspace), g, 0, demand, int64(delta))
 		if nw.fn.MaxFlow(nw.src, nw.sink) == int64(total) {
 			return delta
 		}
@@ -502,9 +502,9 @@ func paperDelta(t *testing.T, g *graph.Undirected, demand []int, total int) int 
 // coldPaths decomposes a cold solve at delta: the canonical plan paths.
 func coldPaths(t *testing.T, g *graph.Undirected, demand []int, delta int) map[int][]WeightedPath {
 	t.Helper()
-	nw := buildNetwork(nil, g, 0, demand, int64(delta))
+	nw := buildNetwork(new(Workspace), g, 0, demand, int64(delta))
 	nw.fn.MaxFlow(nw.src, nw.sink)
-	paths, err := nw.decompose(nil, demand)
+	paths, err := nw.decompose(new(Workspace), demand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,11 +574,11 @@ func TestDeltaSearchMatchesPaperAscent(t *testing.T) {
 				t.Fatalf("case %d: jump from %d to %d, optimum %d", i, delta, next, want)
 			}
 		}
-		warm := buildNetwork(nil, g, 0, demand, int64(lb))
+		warm := buildNetwork(new(Workspace), g, 0, demand, int64(lb))
 		flow := warm.fn.MaxFlow(warm.src, warm.sink)
 		for delta := lb; delta < want; delta++ {
 			checkJump(warm, delta, flow)
-			cold := buildNetwork(nil, g, 0, demand, int64(delta))
+			cold := buildNetwork(new(Workspace), g, 0, demand, int64(delta))
 			checkJump(cold, delta, cold.fn.MaxFlow(cold.src, cold.sink))
 			warm.setDelta(int64(delta + 1))
 			flow += warm.fn.MaxFlow(warm.src, warm.sink)

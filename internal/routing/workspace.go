@@ -2,8 +2,10 @@ package routing
 
 // Workspace holds the reusable solver state of BalancedPaths: the flow
 // network with its adjacency and Dinic scratch, the decomposer's
-// slice-indexed state, and the binary search's flow snapshot. The zero
-// value is ready to use; one workspace serves one goroutine at a time.
+// slice-indexed state, and the binary search's flow snapshot. Every plan
+// runs on one: BalancedPaths (or a nil workspace) gets a zero-value one
+// private to the call. The zero value is ready to use; one workspace
+// serves one goroutine at a time.
 //
 // Plans returned by BalancedPathsWS never alias workspace memory — only
 // the solver's intermediate state is recycled — so cached plans stay

@@ -19,6 +19,12 @@ import (
 	"repro/internal/sse"
 )
 
+// ErrBadSpec wraps every spec validation error Submit returns; the HTTP
+// layer translates it to 400. Submit errors outside the sentinels here
+// (a failing spool, say) are the server's fault and map to 500. The text
+// has no package prefix because the validation error it wraps carries one.
+var ErrBadSpec = errors.New("bad spec")
+
 // ErrQueueFull is returned by Submit when the scheduler has no free
 // queue slot; the HTTP layer translates it to 429 with Retry-After.
 var ErrQueueFull = errors.New("service: job queue full")
@@ -193,9 +199,10 @@ func (m *Manager) pushReq(j *Job) pushReq {
 }
 
 // Submit validates the spec, durably records the job and schedules it.
+// A spec that fails validation returns an error wrapping ErrBadSpec.
 func (m *Manager) Submit(spec Spec) (Job, error) {
 	if err := spec.Validate(); err != nil {
-		return Job{}, err
+		return Job{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	now := time.Now().UTC()
 	j := &Job{
@@ -226,8 +233,8 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	// instead of losing it.
 	m.store.put(j)
 	if err := m.spool.SaveManifest(j); err != nil {
-		m.store.delete(j.ID)
-		return Job{}, err
+		m.rollback(j.ID)
+		return Job{}, fmt.Errorf("service: record job %s: %w", j.ID, err)
 	}
 	// Snapshot before the push: once a worker can see the job, the
 	// store's canonical struct may be mutated concurrently.

@@ -154,6 +154,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.m.Submit(spec)
 	switch {
+	case errors.Is(err, ErrBadSpec):
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 	case errors.Is(err, ErrQueueFull):
 		// Backpressure: tell the client when to come back. The hint is
 		// heuristic (one mean job duration would be better), a constant
@@ -163,7 +165,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrStopped):
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		// The spec was fine; durably recording the job failed.
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 	default:
 		w.Header().Set("Location", "/v1/jobs/"+j.ID)
 		writeJSON(w, http.StatusAccepted, j)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -336,6 +337,37 @@ func TestHTTPErrors(t *testing.T) {
 	// Healthz.
 	if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPSubmitSpoolFailure: a valid spec the spool cannot record is the
+// server's fault, so it answers 500 and leaves no job behind, while an
+// invalid spec still answers 400.
+func TestHTTPSubmitSpoolFailure(t *testing.T) {
+	ts, m := newTestServer(t, 1, 8)
+	// A regular file where the spool directory was: every job directory
+	// under it fails to be created, whatever the process's privileges.
+	dir := m.spool.Dir()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"type":"probe","probe":{}}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("submit on a broken spool: %d %s, want 500", resp.StatusCode, body)
+	}
+	var list struct {
+		Jobs  []Job `json:"jobs"`
+		Total int   `json:"total"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != 0 || list.Total != 0 {
+		t.Errorf("failed submit left jobs behind: %+v", list)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"type":"probe"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("invalid spec on a broken spool: %d %s, want 400", resp.StatusCode, body)
 	}
 }
 
