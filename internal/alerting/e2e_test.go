@@ -73,7 +73,7 @@ func TestEndToEndAlertFromFieldJob(t *testing.T) {
 		Sinks:       []alerting.Sink{&alerting.WebhookSink{URL: hook.URL}},
 		RetryPolicy: backoff.Policy{Base: time.Millisecond, Max: 5 * time.Millisecond},
 	})
-	err := engine.Upsert(alerting.Rule{
+	err := engine.SetRules([]alerting.Rule{{
 		Name: "fault-deaths",
 		Expr: alerting.Expr{
 			Series:   `field_deaths_total{cause="fault"}`,
@@ -83,7 +83,7 @@ func TestEndToEndAlertFromFieldJob(t *testing.T) {
 			WindowMS: 3_600_000, // post-hoc samples stay fresh for the test
 		},
 		Severity: alerting.SeverityCritical,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,24 +83,6 @@ func New(cfg Config) *Engine {
 	}
 }
 
-// History exposes the ring store (the /v1/series handler reads it).
-func (e *Engine) History() *History { return e.hist }
-
-// Interval returns the sample tick.
-func (e *Engine) Interval() time.Duration { return e.interval }
-
-// Upsert validates and installs (or replaces) one rule.
-func (e *Engine) Upsert(r Rule) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ev.upsert(r, e.clock.Now().UTC())
-	e.obs.Set(MetricRulesActive, float64(len(e.ev.rules)))
-	return nil
-}
-
 // SetRules validates and installs a batch (all-or-nothing).
 func (e *Engine) SetRules(rules []Rule) error {
 	for i := range rules {

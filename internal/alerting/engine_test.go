@@ -25,11 +25,11 @@ func newTestEngine(t *testing.T) (*Engine, *obs.Registry, *obs.Gauge) {
 		Interval: time.Second,
 		Clock:    func() time.Time { return t0 },
 	})
-	err := e.Upsert(Rule{
+	err := e.SetRules([]Rule{{
 		Name:  "stranded",
 		Expr:  Expr{Series: "field_stranded_sensors", Kind: ExprThreshold, Op: OpGT, Value: 0},
 		ForMS: 2000,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

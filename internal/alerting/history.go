@@ -211,14 +211,3 @@ func (h *History) Rate(name string, now time.Time, window time.Duration) (float6
 	}
 	return (lp.V - fp.V) / dt, true
 }
-
-// len returns the retained point count of a series (tests).
-func (h *History) len(name string) int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	r := h.series[name]
-	if r == nil {
-		return 0
-	}
-	return len(r.pts)
-}

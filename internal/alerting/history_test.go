@@ -13,6 +13,17 @@ var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
 func tick(i int) time.Time { return t0.Add(time.Duration(i) * time.Second) }
 
+// len returns the retained point count of a series (tests).
+func (h *History) len(name string) int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	r := h.series[name]
+	if r == nil {
+		return 0
+	}
+	return len(r.pts)
+}
+
 func TestHistorySampleKinds(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("jobs_total", "").Add(4)
@@ -139,7 +150,7 @@ func TestLatestStaleness(t *testing.T) {
 func TestHistoryMemoryBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	for i := 0; i < 20; i++ {
-		reg.Counter(fmt.Sprintf("c%02d_total", i), "").Inc()
+		reg.Counter(fmt.Sprintf("c%02d_total", i), "").Add(1)
 	}
 	h := NewHistory(32)
 	for i := 0; i < 2000; i++ {

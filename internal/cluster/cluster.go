@@ -134,10 +134,6 @@ func (p Params) txTime(bytes int) time.Duration {
 	return time.Duration(float64(bytes*8) / p.BandwidthBps * float64(time.Second))
 }
 
-// dataSlot is the full length of one polling slot: the head's polling
-// broadcast followed by one data packet transmission.
-func (p Params) dataSlot() time.Duration { return p.txTime(p.PollBytes) + p.txTime(p.DataBytes) }
-
 // ackSlot is one acknowledgment-collection slot.
 func (p Params) ackSlot() time.Duration { return p.txTime(p.PollBytes) + p.txTime(p.AckBytes) }
 
@@ -306,15 +302,6 @@ type CycleResult struct {
 	// OracleTests is the cumulative number of interference groups the
 	// head has tested so far (Section IV's sector benefit).
 	OracleTests int
-	// MeanLatency and MaxLatency measure how long delivered packets
-	// waited from their group's first data slot to arrival at the head.
-	MeanLatency, MaxLatency time.Duration
-
-	// latSum is an integer sum, so it does not depend on the order in
-	// which the latency map is walked.
-	latSum       time.Duration
-	latMaxHolder time.Duration
-	latCount     int
 }
 
 // RunCycle simulates the next duty cycle.
@@ -369,10 +356,6 @@ func (r *Runner) RunCycle() (*CycleResult, error) {
 			return nil, err
 		}
 		res.Duty += window
-	}
-	if res.latCount > 0 {
-		res.MeanLatency = res.latSum / time.Duration(res.latCount)
-		res.MaxLatency = res.latMaxHolder
 	}
 	res.Delivered = res.Offered
 	if res.Duty > p.Cycle {
@@ -462,15 +445,6 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 		r.Trace.AppendSchedule(r.cycleIdx-1, dataSched, dataReqs, loss)
 	}
 
-	// Packet latency: time from the group's first data slot to arrival.
-	for _, lat := range trace.Latencies(dataSched) {
-		d := time.Duration(lat) * dataSlotDur
-		res.latSum += d
-		res.latCount++
-		if d > res.latMaxHolder {
-			res.latMaxHolder = d
-		}
-	}
 	// Window: wake broadcast + ack slots + data slots + sleep broadcast.
 	window := pollT + time.Duration(ackSlots)*ackSlotDur +
 		time.Duration(dataSlots)*dataSlotDur + pollT
@@ -622,56 +596,6 @@ func (s *Summary) String() string {
 		s.Cycles, s.Delivered, s.Offered, s.DeliveredFraction()*100,
 		s.MeanActive*100, s.MeanDuty.Round(time.Millisecond),
 		s.MeanAckSlots, s.MeanDataSlots, s.Retries)
-}
-
-// LevelBreakdown is the per-hop-level view of a summary: how sensors at
-// each distance from the head spend their radios. Inner (level-1) sensors
-// relay everyone behind them, so their transmit share — and power draw —
-// is the cluster's lifetime bottleneck; this is what the min-max routing
-// of Section III-A balances.
-type LevelBreakdown struct {
-	Level   int
-	Sensors int
-	// MeanTx/MeanRx/MeanIdle are mean per-cycle radio times.
-	MeanTx, MeanRx, MeanIdle time.Duration
-	// MeanPower is the mean steady-state draw in watts under the model.
-	MeanPower float64
-}
-
-// ByLevel groups the summary's mean profiles by hop level.
-func (s *Summary) ByLevel(c *topo.Cluster, m energy.Model) []LevelBreakdown {
-	agg := map[int]*LevelBreakdown{}
-	for v := 1; v < len(s.MeanProfiles); v++ {
-		l := c.Level[v]
-		if l <= 0 {
-			continue
-		}
-		b := agg[l]
-		if b == nil {
-			b = &LevelBreakdown{Level: l}
-			agg[l] = b
-		}
-		b.Sensors++
-		p := s.MeanProfiles[v]
-		b.MeanTx += p.InTx
-		b.MeanRx += p.InRx
-		b.MeanIdle += p.InIdle
-		b.MeanPower += energy.AveragePower(m, p)
-	}
-	var out []LevelBreakdown
-	for l := 1; ; l++ {
-		b, ok := agg[l]
-		if !ok {
-			break
-		}
-		n := time.Duration(b.Sensors)
-		b.MeanTx /= n
-		b.MeanRx /= n
-		b.MeanIdle /= n
-		b.MeanPower /= float64(b.Sensors)
-		out = append(out, *b)
-	}
-	return out
 }
 
 // DeliveredFraction is the throughput as a fraction of offered load.

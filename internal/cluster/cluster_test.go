@@ -43,6 +43,10 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// dataSlot is the full length of one polling slot: the head's polling
+// broadcast followed by one data packet transmission.
+func (p Params) dataSlot() time.Duration { return p.txTime(p.PollBytes) + p.txTime(p.DataBytes) }
+
 func TestSlotTimes(t *testing.T) {
 	p := DefaultParams()
 	// 80-byte data at 200 kbps = 3.2 ms; poll adds another 3.2 ms.

@@ -142,12 +142,12 @@ func TestReachableShrinksAfterFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(c.Reachable())
+	before := c.ReachableCount()
 	if before != 20 {
 		t.Fatalf("initially reachable = %d", before)
 	}
 	c.MarkFailed(5)
-	after := len(c.Reachable())
+	after := c.ReachableCount()
 	if after >= before {
 		t.Fatalf("reachable %d should shrink after failure", after)
 	}

@@ -94,16 +94,6 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
-// Transmissions returns the total number of scheduled transmissions,
-// including those wasted by losses.
-func (s *Schedule) Transmissions() int {
-	n := 0
-	for _, slot := range s.Slots {
-		n += len(slot)
-	}
-	return n
-}
-
 // LossFn decides whether the given transmission, scheduled in the given
 // slot, is lost. A nil LossFn means a lossless channel. Implementations
 // must be deterministic per (slot, tx) pair within one run if reproducible

@@ -139,13 +139,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
-// Epoch returns the number of committed epochs.
-func (co *Coordinator) Epoch() int { return co.rt.Epoch() }
-
-// Snapshot returns the last committed boundary. Call between epochs or
-// after Run — not concurrently with it.
-func (co *Coordinator) Snapshot() *field.Snapshot { return co.rt.Snapshot() }
-
 // liveWorkers returns the live fleet, sorted for deterministic
 // assignment.
 func (co *Coordinator) liveWorkers() []string {

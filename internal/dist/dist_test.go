@@ -72,11 +72,11 @@ func referenceRun(t *testing.T) (sum, snap []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rt.Snapshot().WriteJSON(&buf); err != nil {
+	snapB, err := json.MarshalIndent(rt.Snapshot(), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return sumB, buf.Bytes()
+	return sumB, snapB
 }
 
 // testConfig assembles a coordinator config over a fresh local fabric
@@ -113,11 +113,11 @@ func coordSummaryJSON(t *testing.T, s *field.Summary) []byte {
 
 func coordSnapshotJSON(t *testing.T, co *Coordinator) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := co.Snapshot().WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(co.rt.Snapshot(), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestCoordinatorMatchesSingleProcess pins the distributed determinism
@@ -222,11 +222,11 @@ func TestCoordinatorResume(t *testing.T) {
 	cfg, _ := testConfig(2)
 	var persisted []byte
 	cfg.OnCommit = func(snap *field.Snapshot, rep *field.EpochReport) error {
-		var buf bytes.Buffer
-		if err := snap.WriteJSON(&buf); err != nil {
+		b, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
 			return err
 		}
-		persisted = buf.Bytes()
+		persisted = b
 		if rep.Epoch == 3 {
 			return sentinel
 		}
@@ -240,8 +240,8 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatalf("aborted run returned %v, want the sentinel", err)
 	}
 
-	snap, err := field.ReadSnapshot(bytes.NewReader(persisted))
-	if err != nil {
+	snap := new(field.Snapshot)
+	if err := json.Unmarshal(persisted, snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Epoch != 4 {

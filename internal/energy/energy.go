@@ -80,13 +80,12 @@ func (m Model) Energy(s State, d time.Duration) float64 {
 	return m.PowerOf(s) * d.Seconds()
 }
 
-// Battery tracks the remaining charge of one sensor and accounts energy by
-// state. The zero value is a depleted battery; use NewBattery.
+// Battery tracks the remaining charge of one sensor. The zero value is a
+// depleted battery; use NewBattery.
 type Battery struct {
 	model    Model
 	capacity float64 // joules
 	used     float64
-	byState  [numStates]float64
 }
 
 // NewBattery returns a battery holding capacityJoules under model m.
@@ -100,9 +99,7 @@ func NewBattery(m Model, capacityJoules float64) *Battery {
 // Draw consumes the energy of spending d in state s. Draw never takes the
 // battery below zero; the overage is discarded once the battery is dead.
 func (b *Battery) Draw(s State, d time.Duration) {
-	e := b.model.Energy(s, d)
-	b.byState[s] += e
-	b.used += e
+	b.used += b.model.Energy(s, d)
 	if b.used > b.capacity {
 		b.used = b.capacity
 	}
@@ -113,21 +110,6 @@ func (b *Battery) Remaining() float64 { return b.capacity - b.used }
 
 // Depleted reports whether the battery is empty.
 func (b *Battery) Depleted() bool { return b.Remaining() <= 0 }
-
-// Used returns the total energy consumed in joules (capped at capacity).
-func (b *Battery) Used() float64 { return b.used }
-
-// UsedIn returns the energy consumed in joules while in state s,
-// uncapped — useful for breakdowns even past depletion.
-func (b *Battery) UsedIn(s State) float64 {
-	if s < 0 || s >= numStates {
-		panic(fmt.Sprintf("energy: invalid state %d", s))
-	}
-	return b.byState[s]
-}
-
-// Capacity returns the battery's capacity in joules.
-func (b *Battery) Capacity() float64 { return b.capacity }
 
 // CycleProfile is the per-cycle radio time budget of one sensor, from
 // which steady-state power and lifetime follow. All durations are within

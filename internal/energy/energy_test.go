@@ -72,22 +72,12 @@ func TestBatteryAccounting(t *testing.T) {
 	b := NewBattery(m, 1.0) // 1 J
 	b.Draw(Tx, time.Second)
 	b.Draw(Idle, 2*time.Second)
-	wantTx := m.PowerOf(Tx)
-	wantIdle := 2 * m.PowerOf(Idle)
-	if math.Abs(b.UsedIn(Tx)-wantTx) > 1e-12 {
-		t.Errorf("UsedIn(Tx) = %v want %v", b.UsedIn(Tx), wantTx)
-	}
-	if math.Abs(b.UsedIn(Idle)-wantIdle) > 1e-12 {
-		t.Errorf("UsedIn(Idle) = %v", b.UsedIn(Idle))
-	}
-	if math.Abs(b.Used()-(wantTx+wantIdle)) > 1e-12 {
-		t.Errorf("Used = %v", b.Used())
+	want := 1.0 - m.PowerOf(Tx) - 2*m.PowerOf(Idle)
+	if math.Abs(b.Remaining()-want) > 1e-12 {
+		t.Errorf("Remaining = %v want %v", b.Remaining(), want)
 	}
 	if b.Depleted() {
 		t.Error("should not be depleted yet")
-	}
-	if b.Capacity() != 1.0 {
-		t.Errorf("Capacity = %v", b.Capacity())
 	}
 }
 
@@ -99,13 +89,6 @@ func TestBatteryDepletionClamps(t *testing.T) {
 	}
 	if b.Remaining() != 0 {
 		t.Fatalf("Remaining = %v want 0", b.Remaining())
-	}
-	if b.Used() != 0.01 {
-		t.Fatalf("Used should clamp to capacity: %v", b.Used())
-	}
-	// Per-state accounting stays uncapped for breakdowns.
-	if b.UsedIn(Tx) <= 0.01 {
-		t.Fatal("UsedIn should be uncapped")
 	}
 }
 

@@ -23,7 +23,7 @@ func cacheTotals(rt *Runtime) (hits, misses uint64, clusters int) {
 		if c == nil {
 			continue
 		}
-		pc := rt.PlanCache(k)
+		pc := rt.slots[k].cache
 		hits += pc.Hits
 		misses += pc.Misses
 		clusters++
@@ -114,7 +114,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		if c == nil {
 			continue
 		}
-		pc := rt.PlanCache(k)
+		pc := rt.slots[k].cache
 		wantMisses, wantHits := uint64(1), uint64(1)
 		if k == target {
 			wantMisses, wantHits = 2, 0
@@ -136,7 +136,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if _, err := rt.RunEpoch(o); err != nil {
 		t.Fatal(err)
 	}
-	if pc := rt.PlanCache(target); pc.Misses != 2 || pc.Hits != 1 {
+	if pc := rt.slots[target].cache; pc.Misses != 2 || pc.Hits != 1 {
 		t.Fatalf("no-op refresh evicted the plan: hits=%d misses=%d, want 1/2", pc.Hits, pc.Misses)
 	}
 
@@ -147,7 +147,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if _, err := rt.RunEpoch(o); err != nil {
 		t.Fatal(err)
 	}
-	if pc := rt.PlanCache(target); pc.Misses != 3 {
+	if pc := rt.slots[target].cache; pc.Misses != 3 {
 		t.Fatalf("connectivity change did not invalidate: misses=%d, want 3", pc.Misses)
 	}
 }

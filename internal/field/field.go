@@ -257,12 +257,11 @@ func (s *Summary) FitsCycle(cycle time.Duration) bool {
 // Runtime is a field simulation in progress. It is not safe for
 // concurrent use; the parallelism lives inside RunShardEpoch.
 type Runtime struct {
-	f        *topo.Field
-	cfg      Config
-	em       energy.Model
-	colors   []int // per field cluster
-	channels int
-	indexes  []int // non-empty clusters, ascending
+	f       *topo.Field
+	cfg     Config
+	em      energy.Model
+	colors  []int // per field cluster
+	indexes []int // non-empty clusters, ascending
 
 	clusters  []*topo.Cluster // nil for empty clusters
 	batteries [][]float64     // remaining joules, [k][v], nil when disabled
@@ -313,11 +312,6 @@ type clusterSlot struct {
 	refreshed uint64
 }
 
-// PlanCache returns cluster k's routing plan cache (nil for empty
-// clusters) — its Hits/Misses counters are the cache's ground truth and
-// what the tests assert on.
-func (rt *Runtime) PlanCache(k int) *routing.PlanCache { return rt.slots[k].cache }
-
 // New builds a runtime over the field. The field's clusters are
 // materialized once; churn mutates them in place across epochs. Each
 // cluster gets its own copy of a log-distance propagation model, so the
@@ -331,11 +325,10 @@ func New(f *topo.Field, cfg Config) (*Runtime, error) {
 	}
 	colors, channels := f.ChannelAssignment(cfg.InterferenceRange)
 	rt := &Runtime{
-		f:        f,
-		cfg:      cfg,
-		em:       cfg.energyModel(),
-		colors:   colors,
-		channels: channels,
+		f:      f,
+		cfg:    cfg,
+		em:     cfg.energyModel(),
+		colors: colors,
 	}
 	rt.clusters = make([]*topo.Cluster, len(f.Heads))
 	rt.dead = make([][]bool, len(f.Heads))
@@ -385,9 +378,6 @@ func (rt *Runtime) Epoch() int { return rt.epoch }
 // Summary returns the aggregate accumulated so far. The pointer stays
 // valid (and keeps updating) across epochs.
 func (rt *Runtime) Summary() *Summary { return &rt.sum }
-
-// Channels returns the number of radio channels the coloring used.
-func (rt *Runtime) Channels() int { return rt.channels }
 
 // epochSeed derives cluster k's runtime seed for an epoch. Epoch 0 uses
 // the base seed unmixed so a one-epoch run reproduces the legacy

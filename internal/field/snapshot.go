@@ -94,32 +94,6 @@ func (rt *Runtime) Snapshot() *Snapshot {
 	return s
 }
 
-// WriteJSON serializes the whole snapshot, reports included, as indented
-// JSON: the stream form ReadSnapshot reads.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadSnapshot parses a snapshot written by WriteJSON. Decode failures —
-// invalid JSON, a truncated file, empty input — come back wrapped as
-// ErrSnapshotCorrupt; a decodable snapshot of another format version as
-// ErrSnapshotVersion. Both match with errors.Is.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		// io.EOF (empty input) and io.ErrUnexpectedEOF (truncation) are
-		// corruption here just like a syntax error: the checkpoint is
-		// unusable either way.
-		return nil, fmt.Errorf("field: %w: %v", ErrSnapshotCorrupt, err)
-	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("field: %w: got %d, want %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
-	}
-	return &s, nil
-}
-
 // The file checkpoint is two files, so that an epoch boundary costs the
 // same at epoch 400 as at epoch 4:
 //

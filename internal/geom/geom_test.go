@@ -219,3 +219,58 @@ func TestPointString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// Add returns the vector sum p+q.
+func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
+
+// Sub returns the vector difference p-q.
+func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
+
+// Scale returns p scaled by k.
+func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
+
+// Area returns the rectangle's area in square meters.
+func (r Rect) Area() float64 { return r.Width() * r.Height() }
+
+// Contains reports whether p lies inside the rectangle (borders inclusive).
+func (r Rect) Contains(p Point) bool {
+	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
+}
+
+// GridDeploy places up to n points on a regular grid covering r, useful for
+// deterministic tests. Points are emitted row-major. If n exceeds the grid
+// capacity of ceil(sqrt(n))^2 the full grid is returned.
+func GridDeploy(r Rect, n int) []Point {
+	if n <= 0 {
+		return nil
+	}
+	side := int(math.Ceil(math.Sqrt(float64(n))))
+	pts := make([]Point, 0, n)
+	for i := 0; i < side && len(pts) < n; i++ {
+		for j := 0; j < side && len(pts) < n; j++ {
+			pts = append(pts, Point{
+				X: r.MinX + (float64(j)+0.5)*r.Width()/float64(side),
+				Y: r.MinY + (float64(i)+0.5)*r.Height()/float64(side),
+			})
+		}
+	}
+	return pts
+}
+
+// AnnulusDeploy places n points uniformly in the annulus centered at c with
+// radii [rMin, rMax]. Useful for constructing clusters with controlled hop
+// levels in tests.
+func AnnulusDeploy(rng *rand.Rand, c Point, rMin, rMax float64, n int) []Point {
+	if rMin < 0 || rMax < rMin {
+		panic("geom: invalid annulus radii")
+	}
+	pts := make([]Point, n)
+	for i := range pts {
+		// Inverse-CDF sampling for uniform area density.
+		u := rng.Float64()
+		rad := math.Sqrt(u*(rMax*rMax-rMin*rMin) + rMin*rMin)
+		theta := rng.Float64() * 2 * math.Pi
+		pts[i] = Point{c.X + rad*math.Cos(theta), c.Y + rad*math.Sin(theta)}
+	}
+	return pts
+}

@@ -87,68 +87,3 @@ func SixColoring(g *Undirected) (colors []int, used int) {
 	}
 	return GreedyColoring(g, order)
 }
-
-// IsProperColoring reports whether colors assigns every vertex a
-// non-negative color and no edge is monochromatic.
-func IsProperColoring(g *Undirected, colors []int) bool {
-	if len(colors) != g.N() {
-		return false
-	}
-	for _, c := range colors {
-		if c < 0 {
-			return false
-		}
-	}
-	for _, e := range g.Edges() {
-		if colors[e[0]] == colors[e[1]] {
-			return false
-		}
-	}
-	return true
-}
-
-// ChromaticNumber computes the exact chromatic number by trying k = 1, 2,
-// ... with backtracking. Exponential; for test validation on small graphs
-// only (n ≤ ~12).
-func ChromaticNumber(g *Undirected) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	if n > 14 {
-		panic("graph: ChromaticNumber limited to 14 vertices")
-	}
-	colors := make([]int, n)
-	for k := 1; ; k++ {
-		for i := range colors {
-			colors[i] = -1
-		}
-		if kColorable(g, colors, 0, k) {
-			return k
-		}
-	}
-}
-
-func kColorable(g *Undirected, colors []int, u, k int) bool {
-	if u == g.N() {
-		return true
-	}
-	for c := 0; c < k; c++ {
-		ok := true
-		for _, v := range g.Neighbors(u) {
-			if colors[v] == c {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		colors[u] = c
-		if kColorable(g, colors, u+1, k) {
-			return true
-		}
-		colors[u] = -1
-	}
-	return false
-}

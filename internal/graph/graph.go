@@ -122,15 +122,6 @@ func (g *Undirected) Equal(h *Undirected) bool {
 	return true
 }
 
-// Clone returns a deep copy of g.
-func (g *Undirected) Clone() *Undirected {
-	c := NewUndirected(g.n)
-	for u := 0; u < g.n; u++ {
-		c.adj[u] = append([]int(nil), g.adj[u]...)
-	}
-	return c
-}
-
 func (g *Undirected) check(u int) {
 	if u < 0 || u >= g.n {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", u, g.n))
@@ -185,59 +176,4 @@ func (g *Undirected) BFSTree(src int) []int {
 		}
 	}
 	return parent
-}
-
-// Connected reports whether every vertex is reachable from vertex 0
-// (vacuously true for the empty graph).
-func (g *Undirected) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	for _, l := range g.BFSLevels(0) {
-		if l < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Components returns the connected components as vertex-id slices, each
-// sorted ascending, ordered by their smallest vertex.
-func (g *Undirected) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	for _, c := range comps {
-		sortInts(c)
-	}
-	return comps
-}
-
-// sortInts is a tiny insertion sort: component slices are small and this
-// avoids pulling in package sort for a single call site.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

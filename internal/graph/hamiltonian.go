@@ -86,30 +86,4 @@ func HamiltonianPath(g *Undirected) []int {
 	return path
 }
 
-// HasHamiltonianPath reports whether g admits a Hamiltonian path.
-func HasHamiltonianPath(g *Undirected) bool {
-	return HamiltonianPath(g) != nil
-}
-
-// IsHamiltonianPath verifies that path visits every vertex of g exactly
-// once and that consecutive vertices are adjacent.
-func IsHamiltonianPath(g *Undirected, path []int) bool {
-	if len(path) != g.N() {
-		return false
-	}
-	seen := make([]bool, g.N())
-	for _, v := range path {
-		if v < 0 || v >= g.N() || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	for i := 1; i < len(path); i++ {
-		if !g.HasEdge(path[i-1], path[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func trailingZeros32(x uint32) int { return bits.TrailingZeros32(x) }

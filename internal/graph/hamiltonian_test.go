@@ -139,3 +139,29 @@ func TestIsHamiltonianPathRejects(t *testing.T) {
 func TestHamiltonianPathSizeLimit(t *testing.T) {
 	mustPanic(t, func() { HamiltonianPath(NewUndirected(25)) })
 }
+
+// HasHamiltonianPath reports whether g admits a Hamiltonian path.
+func HasHamiltonianPath(g *Undirected) bool {
+	return HamiltonianPath(g) != nil
+}
+
+// IsHamiltonianPath verifies that path visits every vertex of g exactly
+// once and that consecutive vertices are adjacent.
+func IsHamiltonianPath(g *Undirected, path []int) bool {
+	if len(path) != g.N() {
+		return false
+	}
+	seen := make([]bool, g.N())
+	for _, v := range path {
+		if v < 0 || v >= g.N() || seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	for i := 1; i < len(path); i++ {
+		if !g.HasEdge(path[i-1], path[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -273,16 +273,3 @@ func (f *FlowNetwork) SourceSide(v int) bool {
 	f.check(v)
 	return f.level[v] >= 0
 }
-
-// OutEdges returns the ids of the forward (even) edges leaving u, in
-// insertion order.
-func (f *FlowNetwork) OutEdges(u int) []int {
-	f.check(u)
-	var out []int
-	for _, e := range f.first[u] {
-		if e%2 == 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -285,3 +285,16 @@ func TestOutEdges(t *testing.T) {
 		t.Fatalf("vertex 1 should have no forward out-edges")
 	}
 }
+
+// OutEdges returns the ids of the forward (even) edges leaving u, in
+// insertion order.
+func (f *FlowNetwork) OutEdges(u int) []int {
+	f.check(u)
+	var out []int
+	for _, e := range f.first[u] {
+		if e%2 == 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}

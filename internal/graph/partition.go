@@ -52,15 +52,3 @@ func Partition(a []int) ([]bool, bool) {
 	}
 	return subset, true
 }
-
-// SubsetSums returns the sums of the two halves induced by subset.
-func SubsetSums(a []int, subset []bool) (inSum, outSum int) {
-	for i, v := range a {
-		if subset[i] {
-			inSum += v
-		} else {
-			outSum += v
-		}
-	}
-	return inSum, outSum
-}

@@ -110,3 +110,15 @@ func TestPartitionQuickDoubledSets(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// SubsetSums returns the sums of the two halves induced by subset.
+func SubsetSums(a []int, subset []bool) (inSum, outSum int) {
+	for i, v := range a {
+		if subset[i] {
+			inSum += v
+		} else {
+			outSum += v
+		}
+	}
+	return inSum, outSum
+}

@@ -126,25 +126,3 @@ func OptimalSetCover(universe int, subsets []Subset) (chosen []int, total float6
 	}
 	return chosen, bestCost, nil
 }
-
-// CoversUniverse reports whether the chosen subsets cover the whole
-// universe {0..universe-1}.
-func CoversUniverse(universe int, subsets []Subset, chosen []int) bool {
-	covered := make([]bool, universe)
-	for _, i := range chosen {
-		if i < 0 || i >= len(subsets) {
-			return false
-		}
-		for _, e := range subsets[i].Elements {
-			if e >= 0 && e < universe {
-				covered[e] = true
-			}
-		}
-	}
-	for _, c := range covered {
-		if !c {
-			return false
-		}
-	}
-	return true
-}

@@ -135,3 +135,25 @@ func TestGreedySetCoverPrefersDensity(t *testing.T) {
 		t.Fatalf("first pick = %d, want densest subset 1", chosen[0])
 	}
 }
+
+// CoversUniverse reports whether the chosen subsets cover the whole
+// universe {0..universe-1}.
+func CoversUniverse(universe int, subsets []Subset, chosen []int) bool {
+	covered := make([]bool, universe)
+	for _, i := range chosen {
+		if i < 0 || i >= len(subsets) {
+			return false
+		}
+		for _, e := range subsets[i].Elements {
+			if e >= 0 && e < universe {
+				covered[e] = true
+			}
+		}
+	}
+	for _, c := range covered {
+		if !c {
+			return false
+		}
+	}
+	return true
+}

@@ -56,7 +56,7 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 // sorted position.
 func TestEachSeesLateRegistration(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m_total", "").Inc()
+	r.Counter("m_total", "").Add(1)
 	names := func() []string {
 		var out []string
 		r.Each(func(s MetricSnapshot) { out = append(out, s.Name) })
@@ -65,7 +65,7 @@ func TestEachSeesLateRegistration(t *testing.T) {
 	if got := names(); !reflect.DeepEqual(got, []string{"m_total"}) {
 		t.Fatalf("first pass %v", got)
 	}
-	r.Counter("a_total", "").Inc()
+	r.Counter("a_total", "").Add(1)
 	if got := names(); !reflect.DeepEqual(got, []string{"a_total", "m_total"}) {
 		t.Fatalf("after late registration %v, want sorted [a_total m_total]", got)
 	}
@@ -77,7 +77,7 @@ func TestEachSeesLateRegistration(t *testing.T) {
 func TestEachAllocsBounded(t *testing.T) {
 	r := NewRegistry()
 	for _, n := range []string{"a_total", "b_total", "c_total", "d_total"} {
-		r.Counter(n, "").Inc()
+		r.Counter(n, "").Add(1)
 	}
 	r.Gauge("e_gauge", "").Set(1)
 	r.Each(func(MetricSnapshot) {}) // warm the order cache

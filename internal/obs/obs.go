@@ -70,9 +70,6 @@ func (c *Counter) Add(delta float64) {
 	c.v.add(delta)
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.add(1) }
-
 // Value returns the current total.
 func (c *Counter) Value() float64 { return c.v.load() }
 
@@ -81,9 +78,6 @@ type Gauge struct{ v atomicFloat }
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.v.store(v) }
-
-// Add shifts the gauge's value.
-func (g *Gauge) Add(delta float64) { g.v.add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.load() }

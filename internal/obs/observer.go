@@ -7,8 +7,7 @@ import (
 
 // Observer is the hook interface the runtimes call at instrumentation
 // points. A nil Observer is valid everywhere: every instrumented site
-// guards with a single nil check (or wraps with OrNop), so the hook costs
-// nothing when unset.
+// guards with a single nil check, so the hook costs nothing when unset.
 //
 // Names are full series names (see Series); the three methods map onto the
 // three metric kinds of a Registry.
@@ -29,15 +28,6 @@ type nopObserver struct{}
 func (nopObserver) Add(string, float64)     {}
 func (nopObserver) Set(string, float64)     {}
 func (nopObserver) Observe(string, float64) {}
-
-// OrNop returns o, or Nop when o is nil, so call sites that prefer
-// branch-free emission can resolve the hook once.
-func OrNop(o Observer) Observer {
-	if o == nil {
-		return Nop
-	}
-	return o
-}
 
 // ObserveDuration records d as seconds on the histogram series — the
 // convention every duration metric in the repo follows. Nil-safe.

@@ -87,8 +87,8 @@ func TestCachedPowerMatchesReference(t *testing.T) {
 						got := m.ReceivedPower(tx, rx)
 						want := m.uncachedReceivedPower(tx, rx)
 						if got != want {
-							t.Fatalf("%s/%s %s: ReceivedPower(%d,%d) = %g, reference %g",
-								prop.Name(), stage, prop.Name(), tx, rx, got, want)
+							t.Fatalf("%T/%s: ReceivedPower(%d,%d) = %g, reference %g",
+								prop, stage, tx, rx, got, want)
 						}
 					}
 				}
@@ -122,7 +122,7 @@ func TestCachedGroupCompatibleMatchesReference(t *testing.T) {
 				}
 				txs := randomGroup(rng, n, 1+rng.Intn(4))
 				if got, want := m.GroupCompatible(txs), slowGroupCompatible(m, txs); got != want {
-					t.Fatalf("%s: GroupCompatible(%v) = %v, reference %v", prop.Name(), txs, got, want)
+					t.Fatalf("%T: GroupCompatible(%v) = %v, reference %v", prop, txs, got, want)
 				}
 			}
 		}
@@ -142,11 +142,11 @@ func TestTestedOracleMatchesTruthOnRandomGroups(t *testing.T) {
 		// Asking again in a shuffled order must hit the cache and agree.
 		shuffled := append([]Transmission(nil), txs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		before := o.TestCount()
+		before := o.Tests
 		if got, want := o.Compatible(shuffled), truth.Compatible(txs); got != want {
 			t.Fatalf("shuffled TestedOracle(%v) = %v, truth %v", shuffled, got, want)
 		}
-		if o.TestCount() != before {
+		if o.Tests != before {
 			t.Fatalf("shuffled query of %v re-tested the group", txs)
 		}
 	}
@@ -161,8 +161,8 @@ func TestTestedOraclePackedKeyFallback(t *testing.T) {
 	if !o.Compatible(neg) {
 		t.Fatal("fallback path broke the truth answer")
 	}
-	if o.Compatible([]Transmission{{From: -3, To: 1}}); o.TestCount() != 1 {
-		t.Fatalf("fallback cache missed: %d tests", o.TestCount())
+	if o.Compatible([]Transmission{{From: -3, To: 1}}); o.Tests != 1 {
+		t.Fatalf("fallback cache missed: %d tests", o.Tests)
 	}
 	big := []Transmission{
 		{From: 1, To: 2}, {From: 3, To: 4}, {From: 5, To: 6},
@@ -170,8 +170,8 @@ func TestTestedOraclePackedKeyFallback(t *testing.T) {
 	}
 	o.Compatible(big)
 	o.Compatible([]Transmission{big[4], big[3], big[2], big[1], big[0]})
-	if o.TestCount() != 2 {
-		t.Fatalf("big group should be one test, got %d", o.TestCount())
+	if o.Tests != 2 {
+		t.Fatalf("big group should be one test, got %d", o.Tests)
 	}
 }
 

@@ -151,12 +151,6 @@ func (m *Medium) SetTxPower(i int, watts float64) {
 // TxPower returns node i's transmit power in watts.
 func (m *Medium) TxPower(i int) float64 { return m.txPower[m.checkNode(i)] }
 
-// Prop returns the propagation model the medium was built with. Mutating
-// the returned model (e.g. installing a new ShadowDB on a LogDistance)
-// leaves the materialized powers stale until Refresh is called, and must
-// not race with queries.
-func (m *Medium) Prop() Propagation { return m.prop }
-
 // MediumStats reports the sparse store's size and churn for observability.
 type MediumStats struct {
 	// Pairs is the number of directed links currently materialized —

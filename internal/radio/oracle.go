@@ -111,8 +111,8 @@ func packGroup(txs []Transmission) (key packedKey, ok bool) {
 // learned cache) can be shared across parallel sweep workers. Tests stays
 // exact under concurrency: a group is only ever tested once, with
 // duplicate concurrent misses resolved under the write lock. Read Tests
-// via TestCount while other goroutines may be querying; the plain field
-// is safe to read once concurrent use has quiesced.
+// once concurrent use has quiesced, such as after the querying
+// goroutines' WaitGroup returns.
 type TestedOracle struct {
 	Truth CompatibilityOracle
 	M     int
@@ -195,15 +195,6 @@ func (o *TestedOracle) Reset(truth CompatibilityOracle, m int) {
 	o.Tests = 0
 	clear(o.fast)
 	clear(o.slow)
-}
-
-// TestCount returns the number of distinct groups tested so far. Unlike
-// reading the Tests field directly, it is safe while other goroutines are
-// querying the oracle.
-func (o *TestedOracle) TestCount() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.Tests
 }
 
 // MaxGroup implements CompatibilityOracle.

@@ -14,7 +14,6 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -45,8 +44,6 @@ type Propagation interface {
 	// ReceivedPower returns the power in watts at distance d meters when
 	// transmitting at txPower watts.
 	ReceivedPower(txPower, d float64) float64
-	// Name identifies the model in experiment logs.
-	Name() string
 }
 
 // FreeSpace is the Friis free-space model: Pr = Pt Gt Gr lambda^2 /
@@ -71,9 +68,6 @@ func (m *FreeSpace) ReceivedPower(txPower, d float64) float64 {
 	den := 16 * math.Pi * math.Pi * d * d * m.L
 	return txPower * m.Gt * m.Gr * m.Lambda * m.Lambda / den
 }
-
-// Name implements Propagation.
-func (m *FreeSpace) Name() string { return "free-space" }
 
 // TwoRay is the two-ray ground-reflection model used by the paper's NS-2
 // setup: free space up to the crossover distance, then Pr = Pt Gt Gr
@@ -114,9 +108,6 @@ func (m *TwoRay) ReceivedPower(txPower, d float64) float64 {
 	return txPower * m.Gt * m.Gr * m.Ht * m.Ht * m.Hr * m.Hr / (d * d * d * d * m.L)
 }
 
-// Name implements Propagation.
-func (m *TwoRay) Name() string { return "two-ray" }
-
 // LogDistance is a log-distance path-loss model with deterministic
 // per-link shadowing, approximating the "arbitrary" received powers the
 // paper cites from real measurements: Pr = Pt * (d0/d)^n * 10^(S/10) where
@@ -131,8 +122,6 @@ type LogDistance struct {
 	// still giving the oddly-shaped, non-disc coverage areas the paper
 	// stresses.
 	ShadowDB func(from, to int) float64
-
-	from, to int // current link, set via ForLink
 }
 
 // NewLogDistance returns a log-distance model calibrated so that its
@@ -146,24 +135,16 @@ func NewLogDistance(exponent, d0 float64) *LogDistance {
 	}
 }
 
-// ForLink returns a shallow copy of the model bound to the ordered link
-// (from, to) so that ReceivedPower applies that link's shadowing.
-func (m *LogDistance) ForLink(from, to int) *LogDistance {
-	c := *m
-	c.from, c.to = from, to
-	return &c
-}
-
-// ReceivedPower implements Propagation.
+// ReceivedPower implements Propagation. Without a link it applies the
+// shadowing of the ordered link (0, 0).
 func (m *LogDistance) ReceivedPower(txPower, d float64) float64 {
-	return m.linkReceivedPower(txPower, d, m.from, m.to)
+	return m.linkReceivedPower(txPower, d, 0, 0)
 }
 
 // linkReceivedPower is ReceivedPower for an explicit ordered link. The
-// Medium's fallback power path uses it directly so that per-link shadowed
-// queries need no ForLink copy (which would allocate on every far-pair
-// lookup). The arithmetic is identical to ReceivedPower on a ForLink copy,
-// bit for bit — the sparse-medium property tests rely on that.
+// Medium's materialized rows and its analytic fallback both come from
+// uncachedReceivedPower, which calls it directly, so the two agree bit
+// for bit — the sparse-medium property tests rely on that.
 func (m *LogDistance) linkReceivedPower(txPower, d float64, from, to int) float64 {
 	if d <= 0 {
 		return txPower
@@ -176,11 +157,6 @@ func (m *LogDistance) linkReceivedPower(txPower, d float64, from, to int) float6
 		pr *= math.Pow(10, m.ShadowDB(from, to)/10)
 	}
 	return pr
-}
-
-// Name implements Propagation.
-func (m *LogDistance) Name() string {
-	return fmt.Sprintf("log-distance(n=%.1f)", m.Exponent)
 }
 
 // HashShadow returns a deterministic per-link shadowing function for

@@ -63,8 +63,8 @@ func TestLogDistanceShadowing(t *testing.T) {
 		}
 		return -10
 	}
-	up := m.ForLink(0, 1).ReceivedPower(1, 50)
-	down := m.ForLink(1, 0).ReceivedPower(1, 50)
+	up := m.linkReceivedPower(1, 50, 0, 1)
+	down := m.linkReceivedPower(1, 50, 1, 0)
 	if math.Abs(up/base-10) > 1e-9 {
 		t.Fatalf("+10dB shadowing should be 10x power: %v", up/base)
 	}
@@ -83,10 +83,10 @@ func TestTxPowerForRangeRoundTrip(t *testing.T) {
 		pt := TxPowerForRange(m, r, DefaultRxThreshold)
 		at := m.ReceivedPower(pt, r)
 		if math.Abs(at-DefaultRxThreshold)/DefaultRxThreshold > 1e-9 {
-			t.Errorf("%s: power at range %v != threshold", m.Name(), at)
+			t.Errorf("%T: power at range %v != threshold", m, at)
 		}
 		if m.ReceivedPower(pt, r*1.5) >= DefaultRxThreshold {
-			t.Errorf("%s: still decodable beyond range", m.Name())
+			t.Errorf("%T: still decodable beyond range", m)
 		}
 	}
 }
@@ -302,18 +302,6 @@ func TestCarries(t *testing.T) {
 	}
 	if !m.Carries(1, 3) {
 		t.Error("sensor should sense carrier beyond decode range")
-	}
-}
-
-func TestPropagationNames(t *testing.T) {
-	if NewFreeSpace().Name() != "free-space" {
-		t.Error("free-space name")
-	}
-	if NewTwoRay().Name() != "two-ray" {
-		t.Error("two-ray name")
-	}
-	if NewLogDistance(3.5, 1).Name() != "log-distance(n=3.5)" {
-		t.Errorf("log-distance name = %q", NewLogDistance(3.5, 1).Name())
 	}
 }
 

@@ -90,7 +90,7 @@ func TestNeighborRowsCoverThresholdLinks(t *testing.T) {
 						}
 					}
 					if !found {
-						t.Fatalf("%s: decodable link %d->%d missing from neighbor row", prop.Name(), tx, rx)
+						t.Fatalf("%T: decodable link %d->%d missing from neighbor row", prop, tx, rx)
 					}
 				}
 				for i := 1; i < len(row); i++ {
@@ -111,13 +111,13 @@ func TestMaxRangeBracketsThreshold(t *testing.T) {
 		for _, p := range []float64{1e-6, 1e-3, 1} {
 			r := MaxRange(prop, p, DefaultRxThreshold)
 			if r <= 0 || math.IsInf(r, 1) {
-				t.Fatalf("%s: MaxRange(%g) = %g", prop.Name(), p, r)
+				t.Fatalf("%T: MaxRange(%g) = %g", prop, p, r)
 			}
 			if got := prop.ReceivedPower(p, r*(1-1e-9)); got < DefaultRxThreshold {
-				t.Fatalf("%s: power %g just inside range %g below floor", prop.Name(), got, r)
+				t.Fatalf("%T: power %g just inside range %g below floor", prop, got, r)
 			}
 			if got := prop.ReceivedPower(p, r*(1+1e-9)); got >= DefaultRxThreshold {
-				t.Fatalf("%s: power %g just past range %g meets floor", prop.Name(), got, r)
+				t.Fatalf("%T: power %g just past range %g meets floor", prop, got, r)
 			}
 		}
 	}

@@ -80,15 +80,6 @@ func (t *Table) NextHop(dest int, now time.Duration) (int, bool) {
 	return r.NextHop, true
 }
 
-// HopCount returns the route's hop count toward dest, if live.
-func (t *Table) HopCount(dest int, now time.Duration) (int, bool) {
-	r, ok := t.routes[dest]
-	if !ok || now > r.Expires {
-		return 0, false
-	}
-	return r.HopCount, true
-}
-
 // Refresh extends the lifetime of the route to dest (data traffic keeps
 // routes alive).
 func (t *Table) Refresh(dest int, now time.Duration) {
@@ -182,15 +173,4 @@ func (t *Table) InvalidateNextHop(neighbor int) []int {
 		}
 	}
 	return broken
-}
-
-// Routes returns a snapshot copy of the live routing table.
-func (t *Table) Routes(now time.Duration) map[int]Route {
-	out := make(map[int]Route, len(t.routes))
-	for d, r := range t.routes {
-		if now <= r.Expires {
-			out[d] = r
-		}
-	}
-	return out
 }

@@ -165,3 +165,23 @@ func TestNewTablePanics(t *testing.T) {
 	}()
 	NewTable(1, 0)
 }
+
+// HopCount returns the route's hop count toward dest, if live.
+func (t *Table) HopCount(dest int, now time.Duration) (int, bool) {
+	r, ok := t.routes[dest]
+	if !ok || now > r.Expires {
+		return 0, false
+	}
+	return r.HopCount, true
+}
+
+// Routes returns a snapshot copy of the live routing table.
+func (t *Table) Routes(now time.Duration) map[int]Route {
+	out := make(map[int]Route, len(t.routes))
+	for d, r := range t.routes {
+		if now <= r.Expires {
+			out[d] = r
+		}
+	}
+	return out
+}

@@ -71,11 +71,3 @@ func (pc *PlanCache) Store(rev uint64, demand []int, search DeltaSearch, plan *P
 	pc.search = search
 	pc.plan = plan
 }
-
-// Invalidate drops the cached plan (the counters survive).
-func (pc *PlanCache) Invalidate() {
-	if pc != nil {
-		pc.valid = false
-		pc.plan = nil
-	}
-}

@@ -511,30 +511,6 @@ func (d *decomposer) peel(v int, maxAmount int64) ([]int, int64, error) {
 	}
 }
 
-// Loads returns the per-node transmission load induced by routing each
-// sensor's packets along the given per-cycle routes: every node on a
-// packet's route except the head transmits it once. routes[v] must start
-// at v and end at the head for every sensor with positive demand.
-func Loads(n int, head int, routes map[int][]int, demand []int) ([]int, error) {
-	load := make([]int, n)
-	for v, d := range demand {
-		if d == 0 || v == head {
-			continue
-		}
-		r := routes[v]
-		if len(r) < 2 || r[0] != v || r[len(r)-1] != head {
-			return nil, fmt.Errorf("routing: bad route for sensor %d: %v", v, r)
-		}
-		for _, x := range r[:len(r)-1] {
-			if x < 0 || x >= n || x == head {
-				return nil, fmt.Errorf("routing: route of %d passes through invalid node %d", v, x)
-			}
-			load[x] += d
-		}
-	}
-	return load, nil
-}
-
 // CycleRoutes selects one route per sensor for the given duty-cycle index
 // by rotating through the plan's weighted paths in proportion to their
 // weights — the "multiple paths rotation" of Section V-D. The same cycle
@@ -559,27 +535,6 @@ func (p *Plan) CycleRoutes(cycle int) map[int][]int {
 		}
 	}
 	return routes
-}
-
-// MaxLoad returns the largest per-sensor average load implied by the
-// plan's weighted paths (fractional over the rotation period); it equals
-// Delta when the flow solution is tight.
-func (p *Plan) MaxLoad(n int) int {
-	load := make([]int, n)
-	for _, ps := range p.Paths {
-		for _, wp := range ps {
-			for _, x := range wp.Nodes[:len(wp.Nodes)-1] {
-				load[x] += wp.Weight
-			}
-		}
-	}
-	max := 0
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // DependentTable builds, for each sensor, the one-hop next-hop table for

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -422,17 +423,12 @@ func TestPlanCache(t *testing.T) {
 	if pc.Hits != 1 || pc.Misses != 4 {
 		t.Fatalf("hits/misses = %d/%d, want 1/4", pc.Hits, pc.Misses)
 	}
-	pc.Invalidate()
-	if got := pc.Lookup(7, demand, LinearSearch); got != nil {
-		t.Fatal("invalidated cache should miss")
-	}
-	// Nil receiver: silent miss, no counting, Store/Invalidate no-ops.
+	// Nil receiver: silent miss, no counting, Store a no-op.
 	var nilPC *PlanCache
 	if got := nilPC.Lookup(7, demand, LinearSearch); got != nil {
 		t.Fatal("nil cache should miss")
 	}
 	nilPC.Store(7, demand, LinearSearch, plan)
-	nilPC.Invalidate()
 }
 
 func TestLoadsValidation(t *testing.T) {
@@ -609,4 +605,49 @@ func TestDeltaSearchMatchesPaperAscent(t *testing.T) {
 	if reused == 0 || resolved == 0 {
 		t.Fatalf("cases cover reused %d and re-solved %d canonical solves; want both", reused, resolved)
 	}
+}
+
+// Loads returns the per-node transmission load induced by routing each
+// sensor's packets along the given per-cycle routes: every node on a
+// packet's route except the head transmits it once. routes[v] must start
+// at v and end at the head for every sensor with positive demand.
+func Loads(n int, head int, routes map[int][]int, demand []int) ([]int, error) {
+	load := make([]int, n)
+	for v, d := range demand {
+		if d == 0 || v == head {
+			continue
+		}
+		r := routes[v]
+		if len(r) < 2 || r[0] != v || r[len(r)-1] != head {
+			return nil, fmt.Errorf("routing: bad route for sensor %d: %v", v, r)
+		}
+		for _, x := range r[:len(r)-1] {
+			if x < 0 || x >= n || x == head {
+				return nil, fmt.Errorf("routing: route of %d passes through invalid node %d", v, x)
+			}
+			load[x] += d
+		}
+	}
+	return load, nil
+}
+
+// MaxLoad returns the largest per-sensor average load implied by the
+// plan's weighted paths (fractional over the rotation period); it equals
+// Delta when the flow solution is tight.
+func (p *Plan) MaxLoad(n int) int {
+	load := make([]int, n)
+	for _, ps := range p.Paths {
+		for _, wp := range ps {
+			for _, x := range wp.Nodes[:len(wp.Nodes)-1] {
+				load[x] += wp.Weight
+			}
+		}
+	}
+	max := 0
+	for _, l := range load {
+		if l > max {
+			max = l
+		}
+	}
+	return max
 }

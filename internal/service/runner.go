@@ -228,6 +228,11 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		j.NextRun = &nr
 	}
 
+	// Backpressure costs no spool write. A race for the last slot is
+	// caught by the push below and rolled back.
+	if m.sched.full() {
+		return Job{}, ErrQueueFull
+	}
 	// Durable before runnable: the manifest hits disk before the ID can
 	// reach a worker, so a crash between the two re-queues the job
 	// instead of losing it.
@@ -881,31 +886,13 @@ func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, erro
 
 	snapPath := m.spool.SnapshotPath(id)
 	var rt *field.Runtime
-	snap, rerr := field.ReadSnapshotFile(snapPath)
-	switch {
-	case rerr == nil:
+	if snap := m.loadCheckpoint(id); snap != nil {
 		rt, err = field.Resume(f, cfg, snap)
-		if err != nil {
-			return nil, err
-		}
-		if m.obs != nil {
-			m.obs.Add(MetricResumes, 1)
-		}
-		m.log.Printf("job %s: resumed from checkpoint at epoch %d", id, snap.Epoch)
-	case errors.Is(rerr, os.ErrNotExist):
+	} else {
 		rt, err = field.New(f, cfg)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		// A corrupt or foreign-version checkpoint cannot be resumed, but
-		// the run is deterministic: starting over produces the identical
-		// summary, so recover by restarting rather than failing.
-		m.log.Printf("job %s: unusable checkpoint (%v), restarting from epoch 0", id, rerr)
-		rt, err = field.New(f, cfg)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	opts := exp.Options{Workers: j.Spec.Workers, Ctx: ctx, Obs: m.obs}
@@ -922,6 +909,26 @@ func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, erro
 		}
 	}
 	return json.MarshalIndent(rt.Summary(), "", "  ")
+}
+
+// loadCheckpoint reads job id's spooled checkpoint and counts the resume.
+// It returns nil for a fresh run and for a corrupt or foreign-version
+// checkpoint: the run is deterministic, so starting over from epoch 0
+// produces the identical summary, and the job recovers by restarting
+// rather than failing.
+func (m *Manager) loadCheckpoint(id string) *field.Snapshot {
+	snap, err := field.ReadSnapshotFile(m.spool.SnapshotPath(id))
+	switch {
+	case err == nil:
+		if m.obs != nil {
+			m.obs.Add(MetricResumes, 1)
+		}
+		m.log.Printf("job %s: resumed from checkpoint at epoch %d", id, snap.Epoch)
+		return snap
+	case !errors.Is(err, os.ErrNotExist):
+		m.log.Printf("job %s: unusable checkpoint (%v), restarting from epoch 0", id, err)
+	}
+	return nil
 }
 
 // checkpoint persists an epoch boundary: the snapshot first (see
@@ -961,21 +968,7 @@ func (m *Manager) runDist(ctx context.Context, id string, j *Job) ([]byte, error
 		return nil, err
 	}
 	snapPath := m.spool.SnapshotPath(id)
-	var snap *field.Snapshot
-	s, rerr := field.ReadSnapshotFile(snapPath)
-	switch {
-	case rerr == nil:
-		snap = s
-		if m.obs != nil {
-			m.obs.Add(MetricResumes, 1)
-		}
-		m.log.Printf("job %s: coordinator resuming from checkpoint at epoch %d", id, s.Epoch)
-	case errors.Is(rerr, os.ErrNotExist):
-		// Fresh run.
-	default:
-		m.log.Printf("job %s: unusable checkpoint (%v), restarting from epoch 0", id, rerr)
-	}
-
+	snap := m.loadCheckpoint(id)
 	fd := m.feed(id)
 	co, err := dist.New(dist.Config{
 		Session:           id,

@@ -187,6 +187,16 @@ func (s *jobScheduler) push(r pushReq, force bool) error {
 	return nil
 }
 
+// full reports whether a non-forced push of a new job would fail with
+// ErrQueueFull. A closed scheduler is never full, so a stopped manager
+// keeps answering ErrStopped. The answer can go stale at once; push
+// checks again.
+func (s *jobScheduler) full() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.closed && s.limit > 0 && len(s.entries) >= s.limit
+}
+
 // remove drops a queued entry (cancel of a queued, backoff-parked or
 // breaker-parked job). Reports whether the id was present.
 func (s *jobScheduler) remove(id string) bool {

@@ -134,7 +134,9 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	// "Restart the daemon": a fresh manager over the same spool.
-	m2, err := New(Config{SpoolDir: spool, Workers: 1})
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg)
+	m2, err := New(Config{SpoolDir: spool, Workers: 1, Obs: reg.Observer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +157,9 @@ func TestKillAndResume(t *testing.T) {
 	}
 	if fin.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (one interrupt, one resume)", fin.Attempts)
+	}
+	if got := reg.Counter(MetricResumes, "").Value(); got != 1 {
+		t.Fatalf("%s = %v after the restart, want 1", MetricResumes, got)
 	}
 	if !bytes.Equal(fin.Result, want) {
 		t.Fatalf("resumed result differs from uninterrupted run:\n got %d bytes\nwant %d bytes", len(fin.Result), len(want))
@@ -404,6 +409,47 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := len(m.Jobs()); got != 0 {
 		t.Fatalf("%d jobs in store after rejected submissions", got)
+	}
+}
+
+// TestSubmitFullQueueSkipsSpool: a refused submit never touches the
+// spool, so backpressure answers ErrQueueFull (HTTP 429) even when the
+// spool is broken; a stopped manager still answers ErrStopped over a
+// full queue.
+func TestSubmitFullQueueSkipsSpool(t *testing.T) {
+	m, err := New(Config{SpoolDir: t.TempDir(), Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never started: the first job keeps the only queue slot.
+	if _, err := m.Submit(Spec{Type: TypeProbe, Probe: &ProbeSpec{}}); err != nil {
+		t.Fatal(err)
+	}
+	// A regular file where the spool directory was: any manifest write
+	// would fail.
+	dir := m.spool.Dir()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(Spec{Type: TypeProbe, Probe: &ProbeSpec{}}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit into a full queue: %v, want ErrQueueFull", err)
+	}
+	if got := len(m.Jobs()); got != 1 {
+		t.Fatalf("store holds %d jobs after refusal, want 1", got)
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stopManager(t, m)
+	if _, err := m.Submit(Spec{Type: TypeProbe, Probe: &ProbeSpec{}}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("submit to a stopped manager with a full queue: %v, want ErrStopped", err)
 	}
 }
 

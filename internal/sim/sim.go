@@ -111,7 +111,3 @@ func (e *Engine) Run(until time.Duration) int {
 	}
 	return executed
 }
-
-// Pending returns the number of queued (possibly cancelled) events,
-// useful in tests.
-func (e *Engine) Pending() int { return len(e.pending) }

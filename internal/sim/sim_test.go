@@ -75,9 +75,6 @@ func TestRunHorizonLeavesLaterEvents(t *testing.T) {
 	if fired {
 		t.Fatal("event beyond horizon fired")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
 	if e.Now() != 2*time.Second {
 		t.Fatalf("Now = %v", e.Now())
 	}

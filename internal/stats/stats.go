@@ -1,12 +1,10 @@
 // Package stats provides the small statistics and formatting toolkit the
-// experiment harness uses: replication means with spread, ASCII tables and
-// CSV output.
+// experiment harness uses: replication means, ASCII tables and CSV output.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -20,48 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
-// samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval
-// for the mean (normal approximation; fine for the harness's replication
-// counts).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// MinMax returns the extrema of xs; it panics on an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Table renders rows as an aligned ASCII table with a header rule.

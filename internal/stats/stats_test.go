@@ -81,3 +81,45 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("csv = %q", b.String())
 	}
 }
+
+// CI95 returns the half-width of an approximate 95% confidence interval
+// for the mean (normal approximation; fine for the harness's replication
+// counts).
+func CI95(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
+}
+
+// MinMax returns the extrema of xs; it panics on an empty slice.
+func MinMax(xs []float64) (min, max float64) {
+	if len(xs) == 0 {
+		panic("stats: MinMax of empty slice")
+	}
+	min, max = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
+		}
+	}
+	return min, max
+}
+
+// StdDev returns the sample standard deviation of xs (0 for fewer than two
+// samples).
+func StdDev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(xs)-1))
+}

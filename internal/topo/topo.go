@@ -237,10 +237,6 @@ func (c *Cluster) RefreshConnectivity() {
 	c.rebuildGraph()
 }
 
-// Reachable returns the sensors that currently have a relaying path to
-// the head, ascending.
-func (c *Cluster) Reachable() []int { return c.ReachableInto(nil) }
-
 // ReachableInto appends the reachable sensors (ascending) to buf[:0] and
 // returns the result, letting per-epoch callers reuse one scratch slice
 // instead of allocating per draw.
@@ -299,18 +295,6 @@ func (c *Cluster) MaxLevel() int {
 		}
 	}
 	return max
-}
-
-// FirstLevelSensors returns the sensors that can communicate directly with
-// the head, in ascending id order.
-func (c *Cluster) FirstLevelSensors() []int {
-	var out []int
-	for v := 1; v < c.Med.N(); v++ {
-		if c.Level[v] == 1 {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // DiscoverConnectivity simulates the initialization protocol of Section

@@ -78,23 +78,6 @@ func TestReadCSVSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestLatencyStatsEdgeCases(t *testing.T) {
-	// Empty map: all zeros, no panic.
-	if min, max, mean := LatencyStats(nil); min != 0 || max != 0 || mean != 0 {
-		t.Fatalf("empty = %d %d %v", min, max, mean)
-	}
-	if min, max, mean := LatencyStats(map[int]int{}); min != 0 || max != 0 || mean != 0 {
-		t.Fatalf("empty map = %d %d %v", min, max, mean)
-	}
-	// Single packet: min == max == mean.
-	if min, max, mean := LatencyStats(map[int]int{1: 4}); min != 4 || max != 4 || mean != 4 {
-		t.Fatalf("single = %d %d %v", min, max, mean)
-	}
-	if min, max, mean := LatencyStats(map[int]int{1: 2, 2: 6}); min != 2 || max != 6 || mean != 4 {
-		t.Fatalf("pair = %d %d %v", min, max, mean)
-	}
-}
-
 func TestSummarizeBridge(t *testing.T) {
 	sched, reqs := fig2Run(t, nil)
 	l := FromSchedule(sched, reqs, nil)

@@ -63,17 +63,6 @@ func (l *Log) Events() []Event {
 // Len returns the number of recorded events.
 func (l *Log) Len() int { return len(l.events) }
 
-// CountKind returns how many events of the given kind were recorded.
-func (l *Log) CountKind(k Kind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteCSV exports the log.
 func (l *Log) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "cycle,slot,kind,from,to,request"); err != nil {
@@ -205,38 +194,4 @@ func FromSchedule(sched *core.Schedule, reqs []core.Request, loss core.LossFn) *
 		}
 	}
 	return l
-}
-
-// Latencies returns, per request ID, the number of slots from the cycle's
-// first slot to the packet's arrival at the head — the polling latency a
-// data consumer observes.
-func Latencies(sched *core.Schedule) map[int]int {
-	out := make(map[int]int, len(sched.Completed))
-	for id, done := range sched.Completed {
-		out[id] = done + 1 // slots elapsed (1-based count)
-	}
-	return out
-}
-
-// LatencyStats summarizes a latency map.
-func LatencyStats(lat map[int]int) (min, max int, mean float64) {
-	if len(lat) == 0 {
-		return 0, 0, 0
-	}
-	first := true
-	sum := 0
-	for _, v := range lat {
-		if first {
-			min, max = v, v
-			first = false
-		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	return min, max, float64(sum) / float64(len(lat))
 }

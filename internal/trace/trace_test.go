@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/radio"
 )
 
@@ -81,19 +82,28 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestLatencies pins the polling latency a data consumer observes: the
+// slots from the cycle's first slot to the packet's arrival at the head,
+// as the trace_latency_slots histogram reports it.
 func TestLatencies(t *testing.T) {
-	sched, _ := fig2Run(t, nil)
-	lat := Latencies(sched)
+	sched, reqs := fig2Run(t, nil)
+	l := FromSchedule(sched, reqs, nil)
 	// S3's packet arrives in slot 0 (latency 1 slot); S2's in slot 1.
-	if lat[2] != 1 || lat[1] != 2 {
-		t.Fatalf("latencies = %v", lat)
+	arrival := map[int]int{}
+	for _, e := range l.Events() {
+		if e.Kind == KindArrival {
+			arrival[e.Request] = e.Slot
+		}
 	}
-	min, max, mean := LatencyStats(lat)
-	if min != 1 || max != 2 || mean != 1.5 {
-		t.Fatalf("stats = %d %d %v", min, max, mean)
+	if len(arrival) != 2 || arrival[2] != 0 || arrival[1] != 1 {
+		t.Fatalf("arrival slots = %v", arrival)
 	}
-	if a, b, c := LatencyStats(nil); a != 0 || b != 0 || c != 0 {
-		t.Fatal("empty stats should be zero")
+	reg := obs.NewRegistry()
+	l.Summarize(reg.Observer())
+	for _, s := range reg.Snapshot() {
+		if s.Name == MetricLatencySlots && (s.Count != 2 || s.Sum != 3) {
+			t.Fatalf("latency histogram: count=%d sum=%v, want 2 packets over 1+2 slots", s.Count, s.Sum)
+		}
 	}
 }
 
@@ -119,4 +129,15 @@ func TestAppendScheduleCycles(t *testing.T) {
 	if l.CountKind(KindTx) != 9 { // 3 tx per cycle
 		t.Fatalf("tx events = %d", l.CountKind(KindTx))
 	}
+}
+
+// CountKind returns how many events of the given kind were recorded.
+func (l *Log) CountKind(k Kind) int {
+	n := 0
+	for _, e := range l.events {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
 }
