@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/energy"
 	"repro/internal/exp"
 	"repro/internal/field"
 	"repro/internal/topo"
@@ -60,7 +59,6 @@ func main() {
 		Params:            params,
 		InterferenceRange: 80,
 		BatteryJoules:     batteryJ,
-		Energy:            energy.DefaultModel(),
 		EpochCycles:       4,
 		Epochs:            1,
 	})

@@ -3,12 +3,13 @@ package field
 // The delta codec: the wire encoding of one cluster's epoch-boundary
 // state — who is dead and how much battery remains. Together with the
 // (field, Config) pair it is sufficient for any process to reconstruct
-// the cluster and continue its trajectory. A delta is always the
+// the cluster and continue its trajectory; a checkpoint is one delta
+// per cluster plus the Summary (snapshot.go). A delta is always the
 // cluster's full state, encoded against the initial build state every
 // process derives from the spec alone (nobody dead, every sensor at
 // Config.BatteryJoules, the mains-powered head at zero). It is valid no
-// matter what the receiver currently holds, so epoch results and
-// adoption payloads ship the same form.
+// matter what the receiver currently holds, so epoch results, adoption
+// payloads and checkpoints share the same form.
 //
 // Dead sensors are gap-encoded (first index absolute, then ascending
 // gaps); batteries ship as parallel (gap-encoded index, value) arrays
@@ -232,12 +233,13 @@ func (rt *Runtime) applyDelta(d *ClusterDelta) {
 	}
 }
 
-// AdoptClusterDelta installs a handed-off cluster state on this runtime:
-// the per-cluster miniature of Resume. The delta must fit this field and
-// move the cluster's epoch forward or keep it; adopting the state a
-// cluster is already at is a no-op (determinism makes the states equal),
-// so re-sends are safe. The cluster's topology catches up to the adopted
-// deaths and the epoch's shadow revision when it next runs.
+// AdoptClusterDelta installs a cluster's boundary state on this runtime:
+// a handed-off cluster, or one cluster of a checkpoint Resume restores.
+// The delta must fit this field and move the cluster's epoch forward or
+// keep it; adopting the state a cluster is already at is a no-op
+// (determinism makes the states equal), so re-sends are safe. The
+// cluster's topology catches up to the adopted deaths and the epoch's
+// shadow revision when it next runs.
 func (rt *Runtime) AdoptClusterDelta(d ClusterDelta) error {
 	if err := rt.checkDelta(&d); err != nil {
 		return err

@@ -91,10 +91,6 @@ type Config struct {
 	// and the steady-state Lifetime estimate; zero or negative runs on
 	// mains (no depletion, no lifetime).
 	BatteryJoules float64
-	// Energy is the model used for battery depletion and the Lifetime
-	// estimate. The zero value falls back to Params.Energy, then to
-	// energy.DefaultModel().
-	Energy energy.Model
 	// EpochCycles is the number of duty cycles each live cluster runs
 	// per epoch; 0 means 1.
 	EpochCycles int
@@ -127,11 +123,10 @@ func (c Config) epochs() int {
 	return c.Epochs
 }
 
-// energyModel resolves the depletion/lifetime model.
+// energyModel resolves the model used for battery depletion and the
+// Lifetime estimate: Params.Energy, or energy.DefaultModel() when that is
+// zero.
 func (c Config) energyModel() energy.Model {
-	if !c.Energy.IsZero() {
-		return c.Energy
-	}
 	if !c.Params.Energy.IsZero() {
 		return c.Params.Energy
 	}

@@ -103,7 +103,6 @@ func TestRunFieldMatchesLegacy(t *testing.T) {
 			Params:            p,
 			InterferenceRange: 80,
 			BatteryJoules:     100,
-			Energy:            energy.DefaultModel(),
 			EpochCycles:       2,
 			Epochs:            1,
 		})

@@ -20,9 +20,10 @@ package field
 //
 // The boundary state a process exchanges is a cluster's dead and battery
 // books, shipped as a full-state ClusterDelta (delta.go): every result
-// carries one, and handoff is a per-cluster miniature of Resume —
-// AdoptClusterDelta writes the books and moves the cluster's epoch
-// forward. MergeEpoch, AdoptClusterDelta and Resume write only the books;
+// carries one, a checkpoint holds one per cluster, and
+// AdoptClusterDelta installs them — it writes the books and moves the
+// cluster's epoch forward, for a handoff and for every cluster Resume
+// restores. MergeEpoch and AdoptClusterDelta write only the books;
 // a cluster's topology catches up to them in syncDeaths at the top of
 // runCluster, so a coordinator that only merges never touches a
 // topology, and an adopting worker continues the cluster's trajectory

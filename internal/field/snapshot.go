@@ -17,8 +17,9 @@ import (
 // SnapshotVersion is the checkpoint format version. Bump it whenever the
 // Snapshot layout, the on-disk checkpoint format or the runtime semantics
 // it freezes change. Version 2 splits the file checkpoint into a boundary
-// record and an epoch-report journal (see WriteFile).
-const SnapshotVersion = 2
+// record and an epoch-report journal (see WriteFile); version 3 stores
+// the dead and battery books as one ClusterDelta per cluster.
+const SnapshotVersion = 3
 
 // Sentinel errors for snapshot decoding and resumption. They are wrapped
 // (never returned bare), so match with errors.Is.
@@ -31,8 +32,10 @@ var (
 	// from SnapshotVersion.
 	ErrSnapshotVersion = errors.New("snapshot version mismatch")
 	// ErrSnapshotMismatch marks a snapshot that decodes but does not fit
-	// the field/Config it is being resumed under (wrong deployment
-	// fingerprint, cluster count, or battery mode).
+	// the field/Config it is being resumed under: wrong deployment
+	// fingerprint or shadow revision, clusters missing, out of order or
+	// at another epoch, or a cluster delta that adoption refuses (those
+	// also match the delta's own sentinel).
 	ErrSnapshotMismatch = errors.New("snapshot does not match field")
 )
 
@@ -51,11 +54,10 @@ type Snapshot struct {
 	Epoch int `json:"epoch"`
 	// ShadowRev is the current shadowing-table revision (0 = pristine).
 	ShadowRev int `json:"shadow_rev"`
-	// Batteries holds remaining joules per cluster per node (index 0 is
-	// the mains-powered head), nil when depletion is disabled.
-	Batteries [][]float64 `json:"batteries,omitempty"`
-	// Dead lists dead sensors per cluster, ascending.
-	Dead [][]int `json:"dead"`
+	// Clusters holds the dead and battery books of every non-empty
+	// cluster, ascending, each encoded at Epoch by EncodeClusterDelta:
+	// the format every epoch result and handoff ships.
+	Clusters []ClusterDelta `json:"clusters"`
 	// Summary is the aggregate accumulated through Epoch.
 	Summary *Summary `json:"summary"`
 }
@@ -69,22 +71,11 @@ func (rt *Runtime) Snapshot() *Snapshot {
 		FieldHash: rt.FieldHash(),
 		Epoch:     rt.epoch,
 		ShadowRev: rt.revForEpoch(rt.epoch),
-		Dead:      make([][]int, len(rt.clusters)),
+		Clusters:  make([]ClusterDelta, 0, len(rt.indexes)),
 	}
-	if rt.batteries != nil {
-		s.Batteries = make([][]float64, len(rt.batteries))
-		for k, b := range rt.batteries {
-			s.Batteries[k] = append([]float64(nil), b...)
-		}
-	}
-	for k, d := range rt.dead {
-		dead := []int{}
-		for v, isDead := range d {
-			if isDead {
-				dead = append(dead, v)
-			}
-		}
-		s.Dead[k] = dead
+	for _, k := range rt.indexes {
+		d, _ := rt.EncodeClusterDelta(k) // cannot fail: k is a known cluster
+		s.Clusters = append(s.Clusters, d)
 	}
 	sum := rt.sum
 	sum.Colors = append([]int(nil), rt.sum.Colors...)
@@ -195,7 +186,7 @@ func (s *Snapshot) WriteFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("field: encode boundary: %w", err)
 	}
-	return installFile(path, rec)
+	return InstallFile(path, rec)
 }
 
 // committedPrefix returns how many reports, in how many journal bytes,
@@ -251,29 +242,30 @@ func boundaryRecord(s *Snapshot, journalBytes int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// installFile atomically replaces path with data: the bytes go to a
+// InstallFile atomically replaces path with data: the bytes go to a
 // temporary file in the same directory, are synced, and the file is
-// renamed over the destination, so a crash leaves either the old record
-// or the new one, never a torn one.
-func installFile(path string, data []byte) error {
+// renamed over the destination, so a crash leaves either the old file or
+// the new one, never a torn one. The checkpoint's boundary record and
+// every spool file are written this way.
+func InstallFile(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("field: snapshot temp file: %w", err)
+		return fmt.Errorf("field: temp file for %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("field: write snapshot: %w", err)
+		return fmt.Errorf("field: write %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("field: sync snapshot: %w", err)
+		return fmt.Errorf("field: sync %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("field: close snapshot: %w", err)
+		return fmt.Errorf("field: close %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("field: install snapshot: %w", err)
+		return fmt.Errorf("field: install %s: %w", path, err)
 	}
 	return nil
 }
@@ -383,8 +375,10 @@ func readJournal(path string, h checkpointHeader) ([]EpochReport, error) {
 // Resume reconstructs a runtime at the snapshot's epoch boundary. The
 // caller supplies the same field and Config the snapshot was taken under
 // (the snapshot stores derived state only); the field is validated by
-// fingerprint. Run on the resumed runtime continues to Config.Epochs and
-// produces the same final Summary as an uninterrupted run.
+// fingerprint. Resume is New plus one AdoptClusterDelta per cluster, so
+// the books go through the validator and installer every handoff uses.
+// Run on the resumed runtime continues to Config.Epochs and produces the
+// same final Summary as an uninterrupted run.
 func Resume(f *topo.Field, cfg Config, s *Snapshot) (*Runtime, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("field: %w: got %d, want %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
@@ -396,42 +390,27 @@ func Resume(f *topo.Field, cfg Config, s *Snapshot) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Dead) != len(rt.clusters) {
-		return nil, fmt.Errorf("field: %w: snapshot has %d clusters, field has %d", ErrSnapshotMismatch, len(s.Dead), len(rt.clusters))
-	}
-	if (s.Batteries != nil) != (rt.batteries != nil) {
-		return nil, fmt.Errorf("field: %w: snapshot and config disagree on battery accounting", ErrSnapshotMismatch)
-	}
-	if s.Batteries != nil && len(s.Batteries) != len(rt.clusters) {
-		return nil, fmt.Errorf("field: %w: snapshot has batteries for %d clusters, field has %d",
-			ErrSnapshotMismatch, len(s.Batteries), len(rt.clusters))
-	}
 	if s.Epoch < 0 || s.ShadowRev != rt.revForEpoch(s.Epoch) {
 		return nil, fmt.Errorf("field: %w: snapshot at epoch %d with shadow revision %d, config implies %d",
 			ErrSnapshotMismatch, s.Epoch, s.ShadowRev, rt.revForEpoch(max(s.Epoch, 0)))
 	}
-	// Restore the dead and battery books. Each cluster's topology catches
-	// up to its deaths and to the epoch's shadow revision when it next
-	// runs.
-	for k, dead := range s.Dead {
-		for _, v := range dead {
-			if rt.clusters[k] == nil || v < 1 || v > rt.clusters[k].Sensors() {
-				return nil, fmt.Errorf("field: %w: snapshot kills sensor %d of cluster %d, out of range", ErrSnapshotMismatch, v, k)
-			}
-			rt.dead[k][v] = true
-		}
+	if len(s.Clusters) != len(rt.indexes) {
+		return nil, fmt.Errorf("field: %w: snapshot has %d clusters, field has %d", ErrSnapshotMismatch, len(s.Clusters), len(rt.indexes))
 	}
-	for k := range rt.batteries {
-		if len(s.Batteries[k]) != len(rt.batteries[k]) {
-			return nil, fmt.Errorf("field: %w: snapshot batteries for cluster %d: %d nodes, want %d",
-				ErrSnapshotMismatch, k, len(s.Batteries[k]), len(rt.batteries[k]))
+	// Install the books through adoption, the path every handoff takes.
+	// Each cluster's topology catches up to its deaths and to the epoch's
+	// shadow revision when it next runs.
+	for i, k := range rt.indexes {
+		d := s.Clusters[i]
+		if d.Cluster != k || d.Epoch != s.Epoch {
+			return nil, fmt.Errorf("field: %w: snapshot entry %d is cluster %d at epoch %d, want cluster %d at epoch %d",
+				ErrSnapshotMismatch, i, d.Cluster, d.Epoch, k, s.Epoch)
 		}
-		copy(rt.batteries[k], s.Batteries[k])
+		if err := rt.AdoptClusterDelta(d); err != nil {
+			return nil, fmt.Errorf("field: %w: %w", ErrSnapshotMismatch, err)
+		}
 	}
 	rt.epoch = s.Epoch
-	for k := range rt.slots {
-		rt.slots[k].epoch = s.Epoch
-	}
 	if s.Summary != nil {
 		rt.sum = *s.Summary
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,6 +67,38 @@ func TestReadSnapshotCorruptSentinels(t *testing.T) {
 	}
 }
 
+// resumeRejections are snapshot edits Resume must refuse, each at one
+// check: the cluster coverage, the entry order and epoch, and through
+// adoption the delta's structure, fingerprint and battery mode. want is
+// the sentinel beside ErrSnapshotMismatch, msg a fragment of the error.
+var resumeRejections = []struct {
+	name string
+	mut  func(s *Snapshot)
+	want error
+	msg  string
+}{
+	{"missing cluster", func(s *Snapshot) { s.Clusters = s.Clusters[1:] }, ErrSnapshotMismatch, "clusters, field has"},
+	{"clusters out of order", func(s *Snapshot) { s.Clusters[0], s.Clusters[1] = s.Clusters[1], s.Clusters[0] }, ErrSnapshotMismatch, "want cluster"},
+	{"delta at the wrong epoch", func(s *Snapshot) { s.Clusters[0].Epoch++ }, ErrSnapshotMismatch, "want cluster"},
+	{"corrupt gaps", func(s *Snapshot) { s.Clusters[0].DeadGaps = []int{1, 0} }, ErrDeltaCorrupt, "non-positive gap"},
+	{"wrong fingerprint", func(s *Snapshot) { s.Clusters[0].Fingerprint = "00000000deadbeef" }, ErrShardMismatch, "delta carries"},
+	{"battery mode disagreement", func(s *Snapshot) {
+		s.Clusters[0].HasBatteries = false
+		s.Clusters[0].BatteryIdx, s.Clusters[0].BatteryVals = nil, nil
+	}, ErrShardMismatch, "battery accounting"},
+}
+
+// rejectedSnapshot returns raw, decoded, with one resumeRejections edit.
+func rejectedSnapshot(t testing.TB, raw []byte, mut func(*Snapshot)) *Snapshot {
+	t.Helper()
+	snap, err := ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut(snap)
+	return snap
+}
+
 func TestResumeMismatchSentinel(t *testing.T) {
 	_, raw := snapshotFixture(t)
 	snap, err := ReadSnapshot(bytes.NewReader(raw))
@@ -75,8 +108,8 @@ func TestResumeMismatchSentinel(t *testing.T) {
 	f, cfg := buildChurnField()
 	noBatt := cfg
 	noBatt.BatteryJoules = 0
-	if _, err := Resume(f, noBatt, snap); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("battery disagreement error %v, want ErrSnapshotMismatch", err)
+	if _, err := Resume(f, noBatt, snap); !errors.Is(err, ErrSnapshotMismatch) || !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("battery disagreement error %v, want ErrSnapshotMismatch and ErrShardMismatch", err)
 	}
 	bad := *snap
 	bad.Version = SnapshotVersion + 1
@@ -84,14 +117,56 @@ func TestResumeMismatchSentinel(t *testing.T) {
 		t.Fatalf("version error %v, want ErrSnapshotVersion", err)
 	}
 	short := *snap
-	short.Batteries = short.Batteries[:1]
+	short.Clusters = short.Clusters[:1]
 	if _, err := Resume(f, cfg, &short); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("too few battery rows: error %v, want ErrSnapshotMismatch", err)
+		t.Fatalf("too few clusters: error %v, want ErrSnapshotMismatch", err)
 	}
 	shifted := *snap
 	shifted.ShadowRev++
 	if _, err := Resume(f, cfg, &shifted); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("shadow revision off its epoch: error %v, want ErrSnapshotMismatch", err)
+	}
+	for _, tc := range resumeRejections {
+		_, err := Resume(f, cfg, rejectedSnapshot(t, raw, tc.mut))
+		if !errors.Is(err, ErrSnapshotMismatch) || !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: error %v, want ErrSnapshotMismatch and %v with %q", tc.name, err, tc.want, tc.msg)
+		}
+	}
+}
+
+// TestResumeRoundTripsDeltas: a resumed runtime encodes every cluster
+// exactly as the snapshot it was resumed from stores it.
+func TestResumeRoundTripsDeltas(t *testing.T) {
+	f, cfg := buildChurnField()
+	rt, err := New(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rt.Epoch() < cfg.epochs() {
+		if _, err := rt.RunEpoch(exp.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rt.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Resume(f, cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range res.ClusterIndexes() {
+			d, err := res.EncodeClusterDelta(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(d, snap.Clusters[i]) {
+				t.Fatalf("epoch %d cluster %d: resumed delta %+v, snapshot holds %+v", rt.Epoch(), k, d, snap.Clusters[i])
+			}
+		}
 	}
 }
 
@@ -101,15 +176,16 @@ func TestResumeMismatchSentinel(t *testing.T) {
 func FuzzResume(f *testing.F) {
 	_, good := snapshotFixture(f)
 	f.Add(good)
-	// The hand-written seeds carry the current version, so they get past
-	// ReadSnapshot and reach Resume's battery, epoch and dead-sensor checks.
-	v := fmt.Sprintf(`{"version":%d`, SnapshotVersion)
-	f.Add([]byte(v + `}`))
-	f.Add([]byte(v + `,"dead":[[],[],[],[],[]],"batteries":[[1]]}`))
+	// Each edited seed gets past ReadSnapshot and reaches one of Resume's
+	// refusals.
+	for _, tc := range resumeRejections {
+		var buf bytes.Buffer
+		if err := rejectedSnapshot(f, good, tc.mut).WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	fld, cfg := buildChurnField()
-	hash := fmt.Sprintf("%016x", fld.Fingerprint())
-	f.Add([]byte(v + `,"field_hash":"` + hash + `","epoch":-3,"dead":[[],[],[],[],[]],"batteries":[]}`))
-	f.Add([]byte(v + `,"field_hash":"` + hash + `","dead":[[9999],[],[],[],[]],"batteries":[[],[],[],[],[]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {

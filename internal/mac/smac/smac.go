@@ -163,7 +163,7 @@ type payload struct {
 // transmission is one in-the-air frame.
 type transmission struct {
 	from      int
-	to        int // -1 = broadcast
+	to        int // receiver, or aodv.Broadcast
 	pl        payload
 	start     time.Duration
 	end       time.Duration
@@ -448,7 +448,7 @@ func (nw *Network) finish(tx *transmission) {
 		if r == tx.from {
 			continue
 		}
-		if tx.to != -1 && tx.to != r {
+		if tx.to != aodv.Broadcast && tx.to != r {
 			// Unicast overheard by a third party: NAV handling only.
 			if !tx.corrupted[r] && nw.med.InRange(tx.from, r) && nw.awakeAt(nd, tx.start) {
 				nd.overhear(tx)
@@ -615,7 +615,7 @@ func (nd *node) startDiscovery() {
 	}
 	nd.discoveryPending = true
 	q := nd.table.Originate(nd.net.sink, nd.now())
-	nd.sendCtrl(-1, payload{kind: pktRREQ, rreq: q})
+	nd.sendCtrl(aodv.Broadcast, payload{kind: pktRREQ, rreq: q})
 	nd.net.eng.Schedule(nd.net.cfg.DiscoveryTimeout, func() {
 		// Whether or not an RREP arrived, resume contention; sustained
 		// discovery failure surfaces as queue overflow.
@@ -747,7 +747,7 @@ func (nd *node) receive(tx *transmission) {
 			f := *fwd
 			jitter := time.Duration(nd.net.rng.Intn(cfg.CWSlots)) * cfg.CWSlot
 			nd.net.eng.Schedule(jitter, func() {
-				nd.sendCtrl(-1, payload{kind: pktRREQ, rreq: f})
+				nd.sendCtrl(aodv.Broadcast, payload{kind: pktRREQ, rreq: f})
 			})
 		}
 	case pktRREP:

@@ -270,9 +270,6 @@ func TestNopAndHelpers(t *testing.T) {
 	o := r.Observer()
 	// Nil-safe: must not panic, must not record.
 	ObserveDuration(nil, "d_seconds", time.Second)
-	Nop.Add("x", 1)
-	Nop.Set("x", 1)
-	Nop.Observe("x", 1)
 	ObserveDuration(o, "d_seconds", 2*time.Second)
 	if s := r.Snapshot(); len(s) != 1 || s[0].Sum != 2 {
 		t.Fatalf("snapshot = %+v", s)

@@ -20,15 +20,6 @@ type Observer interface {
 	Observe(name string, v float64)
 }
 
-// Nop is the no-op Observer: every method discards its arguments.
-var Nop Observer = nopObserver{}
-
-type nopObserver struct{}
-
-func (nopObserver) Add(string, float64)     {}
-func (nopObserver) Set(string, float64)     {}
-func (nopObserver) Observe(string, float64) {}
-
 // ObserveDuration records d as seconds on the histogram series — the
 // convention every duration metric in the repo follows. Nil-safe.
 func ObserveDuration(o Observer, name string, d time.Duration) {

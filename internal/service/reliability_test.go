@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -477,6 +479,48 @@ func TestLegacySpecGolden(t *testing.T) {
 		if _, ok := outKeys[k]; !ok {
 			t.Errorf("round-trip dropped top-level key %q", k)
 		}
+	}
+}
+
+// TestSubmitAfterStopWritesNothing: a stopped manager refuses a job
+// before it touches the spool, so a broken spool cannot turn the refusal
+// into a spool error — Submit answers ErrStopped and HTTP 503, and no
+// job directory appears.
+func TestSubmitAfterStopWritesNothing(t *testing.T) {
+	spool := filepath.Join(t.TempDir(), "spool")
+	m, err := New(Config{SpoolDir: spool, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	stopManager(t, m)
+	spec := Spec{Type: TypeProbe, Probe: &ProbeSpec{}}
+	if _, err := m.Submit(spec); !errors.Is(err, ErrStopped) {
+		t.Fatalf("submit on an intact spool: %v, want ErrStopped", err)
+	}
+	if entries, err := os.ReadDir(spool); err != nil || len(entries) != 0 {
+		t.Fatalf("stopped manager left %d spool entries (%v)", len(entries), err)
+	}
+
+	// Replace the spool directory with a regular file: any spool write
+	// now fails.
+	if err := os.RemoveAll(spool); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spool, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(spec); !errors.Is(err, ErrStopped) {
+		t.Fatalf("submit on a broken spool: %v, want ErrStopped", err)
+	}
+	ts := httptest.NewServer(NewServer(m, nil, nil))
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"type":"probe","probe":{}}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /v1/jobs on a stopped manager: %d %s, want 503", resp.StatusCode, body)
+	}
+	if st, err := os.Stat(spool); err != nil || st.IsDir() {
+		t.Fatalf("spool path after refused submits: %v, %v", st, err)
 	}
 }
 

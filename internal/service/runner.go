@@ -228,8 +228,15 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		j.NextRun = &nr
 	}
 
-	// Backpressure costs no spool write. A race for the last slot is
-	// caught by the push below and rolled back.
+	// Neither a stopped manager nor backpressure costs a spool write. A
+	// race with Stop or for the last slot is caught at the push below and
+	// rolled back.
+	m.mu.Lock()
+	stopped := m.stopped
+	m.mu.Unlock()
+	if stopped {
+		return Job{}, ErrStopped
+	}
 	if m.sched.full() {
 		return Job{}, ErrQueueFull
 	}

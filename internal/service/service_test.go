@@ -181,6 +181,102 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
+// TestVersion2CheckpointRestarts: a checkpoint an older daemon left in
+// the version-2 layout (dead and battery books as per-cluster arrays)
+// reads as field.ErrSnapshotVersion, and the job restarts from epoch 0
+// and still finishes with the uninterrupted run's summary.
+func TestVersion2CheckpointRestarts(t *testing.T) {
+	spec := testFieldSpec(8)
+	want := runSpecDirect(t, spec)
+
+	spool := t.TempDir()
+	m1, err := New(Config{SpoolDir: spool, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Start()
+	j, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, m1, j.ID, 30*time.Second, func(x Job) bool { return x.Epoch >= 1 })
+	stopManager(t, m1)
+	if x, err := m1.Job(j.ID); err != nil || x.State.Terminal() {
+		t.Fatalf("job %v before the restart (%v); the test needs it interrupted", x.State, err)
+	}
+
+	// Rewrite the boundary record in the version-2 layout.
+	path := filepath.Join(spool, j.ID, "snapshot.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		t.Fatal("boundary record has no header line")
+	}
+	var h, rec map[string]any
+	if err := json.Unmarshal(header, &h); err != nil {
+		t.Fatal(err)
+	}
+	var v3 struct {
+		Clusters []field.ClusterDelta `json:"clusters"`
+	}
+	if err := json.Unmarshal(body, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &v3); err != nil {
+		t.Fatal(err)
+	}
+	var dead [][]int
+	for _, d := range v3.Clusters {
+		sensors, v := []int{}, 0
+		for _, g := range d.DeadGaps {
+			v += g
+			sensors = append(sensors, v)
+		}
+		dead = append(dead, sensors)
+	}
+	h["version"], rec["version"] = 2, 2
+	delete(rec, "clusters")
+	rec["dead"] = dead
+	var v2 bytes.Buffer
+	enc := json.NewEncoder(&v2)
+	for _, x := range []any{h, rec} {
+		if err := enc.Encode(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := field.ReadSnapshotFile(path); !errors.Is(err, field.ErrSnapshotVersion) {
+		t.Fatalf("version-2 checkpoint reads as %v, want ErrSnapshotVersion", err)
+	}
+
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg)
+	m2, err := New(Config{SpoolDir: spool, Workers: 1, Obs: reg.Observer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2.Start()
+	defer stopManager(t, m2)
+	fin := waitJob(t, m2, j.ID, 60*time.Second, func(x Job) bool { return x.State.Terminal() })
+	if fin.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", fin.State, fin.Error)
+	}
+	if fin.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (one interrupt, one restart)", fin.Attempts)
+	}
+	if got := reg.Counter(MetricResumes, "").Value(); got != 0 {
+		t.Fatalf("%s = %v: the version-2 checkpoint was resumed, want a restart from epoch 0", MetricResumes, got)
+	}
+	if !bytes.Equal(fin.Result, want) {
+		t.Fatalf("restarted result differs from uninterrupted run:\n got %d bytes\nwant %d bytes", len(fin.Result), len(want))
+	}
+}
+
 // TestUninterruptedService pins the baseline: the service path with no
 // interruption also reproduces the direct field result byte for byte.
 func TestUninterruptedService(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/field"
 )
 
 // Spool is the service's durable state: one directory per job holding
@@ -82,7 +84,7 @@ func (sp *Spool) SaveManifest(j *Job) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(d, "manifest.json"), data)
+	return field.InstallFile(filepath.Join(d, "manifest.json"), data)
 }
 
 // SaveResult durably records a finished job's payload.
@@ -91,7 +93,7 @@ func (sp *Spool) SaveResult(id string, result []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(d, "result.json"), result)
+	return field.InstallFile(filepath.Join(d, "result.json"), result)
 }
 
 // LoadResult returns the job's terminal payload, nil when absent.
@@ -118,7 +120,7 @@ func (sp *Spool) MarkDead(j *Job) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(d, j.ID+".json"), data)
+	return field.InstallFile(filepath.Join(d, j.ID+".json"), data)
 }
 
 // ClearDead removes a job's dead-letter entry (resurrection). Missing
@@ -222,28 +224,4 @@ func (sp *Spool) sweepTemp(id string) {
 	for _, p := range stale {
 		os.Remove(p)
 	}
-}
-
-// writeFileAtomic installs data at path via temp file + rename, the same
-// discipline field.Snapshot.WriteFile uses: readers (and crash recovery)
-// only ever observe complete files.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

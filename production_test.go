@@ -1,9 +1,10 @@
 package repro
 
-// Guard test: every function declared in internal/ must have a caller in
-// the module's non-test code (cmd/, examples/, internal/). A checker or
-// fixture that only tests need lives in a _test.go file of its package,
-// so the production packages compile only what a program can run.
+// Guard test: every function and package-level variable declared in
+// internal/ must have a use in the module's non-test code (cmd/,
+// examples/, internal/). A checker or fixture that only tests need lives
+// in a _test.go file of its package, so the production packages compile
+// only what a program can run.
 
 import (
 	"errors"
@@ -24,6 +25,7 @@ import (
 // productionOnlyAllowlist names the functions in internal/ that no
 // program calls but that stay in the production packages, keyed
 // "importpath.Func" or "importpath.Type.Method", each with its reason.
+// No package-level variable is allowlisted.
 var productionOnlyAllowlist = map[string]string{
 	"repro/internal/topo.Cluster.DiscoverConnectivity":      "§V-B connectivity discovery on a lossless channel",
 	"repro/internal/topo.Cluster.DiscoverConnectivityLossy": "§V-B connectivity discovery; docs/PROTOCOL.md §3 step 2 cites it",
@@ -47,10 +49,10 @@ func TestProductionCodeHasProductionCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, f := range prog.uncalledFuncs("internal") {
+	for _, f := range prog.unusedDecls("internal") {
 		seen[f.key] = true
 		if _, ok := productionOnlyAllowlist[f.key]; !ok {
-			t.Errorf("%s:%d: %s has no non-test caller; delete it, or move it into a _test.go file", f.file, f.line, f.key)
+			t.Errorf("%s:%d: %s has no non-test use; delete it, or move it into a _test.go file", f.file, f.line, f.key)
 		}
 	}
 	for key := range productionOnlyAllowlist {
@@ -77,7 +79,7 @@ type modulePackage struct {
 	info      *types.Info
 }
 
-type uncalledFunc struct {
+type unusedDecl struct {
 	key  string
 	file string
 	line int
@@ -205,14 +207,16 @@ func (p *moduleProgram) load(path string) (*modulePackage, error) {
 	return mp, nil
 }
 
-// uncalledFuncs lists every function and method declared under dir
-// (relative to the module root) that no non-test code of the module
-// refers to outside its own body. A method counts as called when it
-// implements a method of an interface that is called, or of any
-// interface declared outside the module (the standard library calls
-// String, Error, ServeHTTP and their kind through interfaces).
-func (p *moduleProgram) uncalledFuncs(dir string) []uncalledFunc {
+// unusedDecls lists every function, method and package-level variable
+// declared under dir (relative to the module root) that no non-test code
+// of the module refers to; a function's references inside its own body
+// do not count. A method counts as called when it implements a method of
+// an interface that is called, or of any interface declared outside the
+// module (the standard library calls String, Error, ServeHTTP and their
+// kind through interfaces).
+func (p *moduleProgram) unusedDecls(dir string) []unusedDecl {
 	used := map[*types.Func]bool{}
+	usedVars := map[*types.Var]bool{}
 	ifaces := map[*types.Interface]bool{}
 	for _, mp := range p.order {
 		// A reference inside a function's own body is no caller.
@@ -220,11 +224,13 @@ func (p *moduleProgram) uncalledFuncs(dir string) []uncalledFunc {
 			return obj.Pkg() == mp.types && obj.Scope() != nil && obj.Scope().Contains(pos)
 		}
 		mark := func(pos token.Pos, obj types.Object) {
-			if f, ok := obj.(*types.Func); ok {
-				f = f.Origin()
-				if !self(pos, f) {
+			switch o := obj.(type) {
+			case *types.Func:
+				if f := o.Origin(); !self(pos, f) {
 					used[f] = true
 				}
+			case *types.Var:
+				usedVars[o] = true
 			}
 		}
 		for id, obj := range mp.info.Uses {
@@ -294,28 +300,44 @@ func (p *moduleProgram) uncalledFuncs(dir string) []uncalledFunc {
 		return false
 	}
 	prefix := filepath.Join(p.root, dir) + string(filepath.Separator)
-	var out []uncalledFunc
+	var out []unusedDecl
 	for _, mp := range p.order {
 		if !strings.HasPrefix(mp.dir+string(filepath.Separator), prefix) {
 			continue
 		}
+		add := func(key string, pos token.Pos) {
+			at := p.fset.Position(pos)
+			rel, _ := filepath.Rel(p.root, at.Filename)
+			out = append(out, unusedDecl{key: key, file: filepath.ToSlash(rel), line: at.Line})
+		}
 		for _, f := range mp.files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Name.Name == "_" || fd.Name.Name == "init" {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Name == "_" || d.Name.Name == "init" {
+						continue
+					}
+					fn := mp.info.Defs[d.Name].(*types.Func)
+					if used[fn] || implementsUsed(fn) {
+						continue
+					}
+					key := mp.path + "." + fn.Name()
+					if named := recvNamed(fn); named != nil {
+						key = mp.path + "." + named.Obj().Name() + "." + fn.Name()
+					}
+					add(key, d.Pos())
+				case *ast.GenDecl:
+					if d.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range d.Specs {
+						for _, name := range spec.(*ast.ValueSpec).Names {
+							if v, ok := mp.info.Defs[name].(*types.Var); ok && name.Name != "_" && !usedVars[v] {
+								add(mp.path+"."+name.Name, name.Pos())
+							}
+						}
+					}
 				}
-				fn := mp.info.Defs[fd.Name].(*types.Func)
-				if used[fn] || implementsUsed(fn) {
-					continue
-				}
-				key := mp.path + "." + fn.Name()
-				if named := recvNamed(fn); named != nil {
-					key = mp.path + "." + named.Obj().Name() + "." + fn.Name()
-				}
-				pos := p.fset.Position(fd.Pos())
-				rel, _ := filepath.Rel(p.root, pos.Filename)
-				out = append(out, uncalledFunc{key: key, file: filepath.ToSlash(rel), line: pos.Line})
 			}
 		}
 	}
