@@ -47,19 +47,6 @@ func TestDist2MatchesDistSquared(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	p, q := Point{1, 2}, Point{3, -4}
-	if got := p.Add(q); got != (Point{4, -2}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); got != (Point{-2, 6}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestRect(t *testing.T) {
 	r := Square(100)
 	if c := r.Center(); c != (Point{50, 50}) {
@@ -67,9 +54,6 @@ func TestRect(t *testing.T) {
 	}
 	if r.Width() != 100 || r.Height() != 100 {
 		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())
-	}
-	if r.Area() != 10000 {
-		t.Errorf("Area = %v", r.Area())
 	}
 	if !r.Contains(Point{0, 0}) || !r.Contains(Point{100, 100}) {
 		t.Error("Contains should include borders")
@@ -129,33 +113,6 @@ func TestUniformDeployRoughlyUniform(t *testing.T) {
 	}
 }
 
-func TestGridDeploy(t *testing.T) {
-	r := Square(10)
-	pts := GridDeploy(r, 9)
-	if len(pts) != 9 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for _, p := range pts {
-		if !r.Contains(p) {
-			t.Fatalf("grid point %v outside", p)
-		}
-	}
-	// Distinctness.
-	seen := map[Point]bool{}
-	for _, p := range pts {
-		if seen[p] {
-			t.Fatalf("duplicate grid point %v", p)
-		}
-		seen[p] = true
-	}
-	if got := GridDeploy(r, 0); got != nil {
-		t.Errorf("GridDeploy(0) = %v, want nil", got)
-	}
-	if got := GridDeploy(r, 5); len(got) != 5 {
-		t.Errorf("GridDeploy(5) len = %d", len(got))
-	}
-}
-
 func TestVoronoiAssignNearest(t *testing.T) {
 	sites := []Point{{0, 0}, {10, 0}, {5, 10}}
 	pts := []Point{{1, 1}, {9, 1}, {5, 9}, {5, 1}}
@@ -193,84 +150,13 @@ func TestVoronoiAssignPanicsOnNoSites(t *testing.T) {
 	VoronoiAssign([]Point{{1, 1}}, nil)
 }
 
-func TestAnnulusDeploy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	c := Point{10, 10}
-	pts := AnnulusDeploy(rng, c, 5, 15, 300)
-	for _, p := range pts {
-		d := p.Dist(c)
-		if d < 5-1e-9 || d > 15+1e-9 {
-			t.Fatalf("annulus point at distance %v outside [5,15]", d)
-		}
-	}
-}
-
-func TestAnnulusDeployInvalidRadii(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AnnulusDeploy(rand.New(rand.NewSource(1)), Point{}, 10, 5, 1)
-}
-
 func TestPointString(t *testing.T) {
 	if s := (Point{1.234, 5.678}).String(); s != "(1.23, 5.68)" {
 		t.Errorf("String = %q", s)
 	}
 }
 
-// Add returns the vector sum p+q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector difference p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
-// Area returns the rectangle's area in square meters.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Contains reports whether p lies inside the rectangle (borders inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
-// GridDeploy places up to n points on a regular grid covering r, useful for
-// deterministic tests. Points are emitted row-major. If n exceeds the grid
-// capacity of ceil(sqrt(n))^2 the full grid is returned.
-func GridDeploy(r Rect, n int) []Point {
-	if n <= 0 {
-		return nil
-	}
-	side := int(math.Ceil(math.Sqrt(float64(n))))
-	pts := make([]Point, 0, n)
-	for i := 0; i < side && len(pts) < n; i++ {
-		for j := 0; j < side && len(pts) < n; j++ {
-			pts = append(pts, Point{
-				X: r.MinX + (float64(j)+0.5)*r.Width()/float64(side),
-				Y: r.MinY + (float64(i)+0.5)*r.Height()/float64(side),
-			})
-		}
-	}
-	return pts
-}
-
-// AnnulusDeploy places n points uniformly in the annulus centered at c with
-// radii [rMin, rMax]. Useful for constructing clusters with controlled hop
-// levels in tests.
-func AnnulusDeploy(rng *rand.Rand, c Point, rMin, rMax float64, n int) []Point {
-	if rMin < 0 || rMax < rMin {
-		panic("geom: invalid annulus radii")
-	}
-	pts := make([]Point, n)
-	for i := range pts {
-		// Inverse-CDF sampling for uniform area density.
-		u := rng.Float64()
-		rad := math.Sqrt(u*(rMax*rMax-rMin*rMin) + rMin*rMin)
-		theta := rng.Float64() * 2 * math.Pi
-		pts[i] = Point{c.X + rad*math.Cos(theta), c.Y + rad*math.Sin(theta)}
-	}
-	return pts
 }

@@ -96,6 +96,16 @@ type Manager struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
+	// settleMu orders transitions: settle holds it from mutate through
+	// the manifest write to the scheduler push and the feed, so two
+	// transitions of one job reach the disk, the scheduler and the feed
+	// in the order they reached the store. Transitions run a few times
+	// per job, so one lock for all jobs costs nothing measurable.
+	settleMu sync.Mutex
+
+	// mu guards the fields below. It nests inside the store lock (Cancel
+	// and Retry read it from a transition's mutate), so nothing may take
+	// the store lock while holding it.
 	mu       sync.Mutex
 	stopped  bool
 	started  bool
@@ -231,10 +241,7 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	// Neither a stopped manager nor backpressure costs a spool write. A
 	// race with Stop or for the last slot is caught at the push below and
 	// rolled back.
-	m.mu.Lock()
-	stopped := m.stopped
-	m.mu.Unlock()
-	if stopped {
+	if m.isStopped() {
 		return Job{}, ErrStopped
 	}
 	if m.sched.full() {
@@ -312,114 +319,80 @@ func (m *Manager) Jobs() []Job { return m.store.list() }
 // immediately and never start; running jobs stop at their next epoch
 // boundary. A recurring job's chain ends with it.
 func (m *Manager) Cancel(id string) error {
-	var wasTerminal, running bool
 	now := time.Now().UTC()
-	j, ok := m.store.update(id, func(x *Job) {
+	refusal := ErrNotFound
+	var cancel context.CancelFunc
+	_, _, err := m.settle(id, func(x *Job) bool {
 		if x.State.Terminal() {
-			wasTerminal = true
-			return
+			refusal = ErrJobDone
+			return false
 		}
-		// The state decides who writes the finish: a queued job never
-		// starts once cancelled (the runner only starts queued jobs), so
-		// its finish is stamped in the same update as the state flip.
-		running = x.State == StateRunning
+		refusal = nil
+		if x.State == StateRunning {
+			m.mu.Lock()
+			cancel = m.cancels[id]
+			m.mu.Unlock()
+		}
 		x.State = StateCancelled
 		x.RetryState = ""
 		x.NextRun = nil
-		if !running {
+		// With an attempt in flight, its outcome finishes the job
+		// (settleAttempt). Without one — a queued or parked job, or one a
+		// shutdown drain left running — nothing else will, so the finish
+		// is stamped here.
+		if cancel == nil {
 			x.Finished = &now
 		}
+		return true
 	})
-	if !ok {
-		return ErrNotFound
-	}
-	if wasTerminal {
-		return ErrJobDone
-	}
-	var cancel context.CancelFunc
-	if running {
-		m.mu.Lock()
-		cancel = m.cancels[id]
-		m.mu.Unlock()
+	if refusal != nil {
+		return refusal
 	}
 	if cancel != nil {
-		// Running: persist the cancelled state, then interrupt at the
-		// next boundary; the runner writes the finish.
-		if err := m.spool.SaveManifest(&j); err != nil {
-			return err
-		}
-		cancel()
+		cancel() // the attempt stops at its next boundary
 	} else {
-		// Queued, backoff-parked or breaker-parked (or left running by a
-		// shutdown drain): there is no attempt in flight and possibly no
-		// worker due to touch the job for a long time, so finish it here
-		// — drop the scheduler entry (frees its queue slot now, not at
-		// its NextRun), stamp the finish time, persist, and close the
-		// feed.
+		// Frees the queue slot now, not at the entry's NextRun.
 		m.sched.remove(id)
-		if running {
-			j, _ = m.store.update(id, func(x *Job) { x.Finished = &now })
-		}
-		if err := m.spool.SaveManifest(&j); err != nil {
-			return err
-		}
 		m.gaugeQueueDepth()
-		m.finishFeed(id, &j)
-		if m.obs != nil {
-			m.obs.Add(finishedSeries(StateCancelled), 1)
-		}
 	}
 	m.log.Printf("job %s: cancel requested", id)
-	return nil
+	return err
 }
 
 // Retry resurrects a dead-lettered job: its failure streak resets and it
 // re-enters the scheduler immediately. The spec's circuit breaker is
 // left untouched — if it is still open, the resurrected job parks until
 // the cooldown, which is exactly the protection the breaker exists for.
+// A stopped manager refuses before it writes anything, so the job stays
+// dead on disk too.
 func (m *Manager) Retry(id string) (Job, error) {
-	var notDead bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State != StateDead {
-			notDead = true
-			return
+	refusal := ErrNotFound
+	j, _, err := m.settle(id, func(x *Job) bool {
+		switch {
+		case x.State != StateDead:
+			refusal = ErrNotDead
+		case m.isStopped():
+			refusal = ErrStopped
+		default:
+			refusal = nil
+			x.State = StateQueued
+			x.RetryState = ""
+			x.Failures = 0
+			x.Error = ""
+			x.Finished = nil
+			x.NextRun = nil
+			return true
 		}
-		x.State = StateQueued
-		x.RetryState = ""
-		x.Failures = 0
-		x.Error = ""
-		x.Finished = nil
-		x.NextRun = nil
+		return false
 	})
-	if !ok {
-		return Job{}, ErrNotFound
-	}
-	if notDead {
-		return Job{}, ErrNotDead
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		return Job{}, err
+	if refusal != nil {
+		return Job{}, refusal
 	}
 	if err := m.spool.ClearDead(id); err != nil {
 		m.log.Printf("job %s: clear dead-letter: %v", id, err)
 	}
-	// Forced: resurrection is an explicit operator action, not client
-	// traffic to backpressure.
-	m.mu.Lock()
-	stopped := m.stopped
-	var err error
-	if !stopped {
-		err = m.sched.push(m.pushReq(&j), true)
-	}
-	m.mu.Unlock()
-	if stopped || err != nil {
-		return Job{}, ErrStopped
-	}
-	m.gaugeQueueDepth()
-	m.feed(id).Reopen()
-	m.feed(id).Publish("state", stateEvent(&j))
 	m.log.Printf("job %s: resurrected from dead-letter", id)
-	return j, nil
+	return j, err
 }
 
 // Events returns the job's SSE feed. For a job already terminal (e.g.
@@ -475,13 +448,6 @@ func (m *Manager) feed(id string) *sse.Feed {
 	return f
 }
 
-// finishFeed publishes the job's terminal state and closes the feed.
-func (m *Manager) finishFeed(id string, j *Job) {
-	f := m.feed(id)
-	f.Publish("state", stateEvent(j))
-	f.Close()
-}
-
 // stateEvent is the payload of "state" SSE events.
 func stateEvent(j *Job) map[string]any {
 	ev := map[string]any{"id": j.ID, "state": j.State, "epoch": j.Epoch}
@@ -531,6 +497,88 @@ func (m *Manager) worker() {
 	}
 }
 
+// isStopped reports whether Stop has begun.
+func (m *Manager) isStopped() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stopped
+}
+
+// settle is the one job transition. mutate runs under the store lock and
+// returns false when the job is not in a state the transition applies to
+// (it lost a race); settle then changes nothing. Otherwise the manifest
+// is written first, and only then does the new state become visible:
+//
+//   - a finished job (terminal, Finished stamped) publishes its final
+//     state event, is counted once in service_jobs_finished_total and
+//     closes its feed;
+//   - a queued job is pushed to the scheduler, forced (it already owns
+//     its slot), and publishes a state event on a reopened feed (a
+//     resurrected job's feed closed when it died);
+//   - any other job publishes a state event.
+//
+// A manifest error is logged and returned, but the transition still
+// takes effect: the store already holds it, and a job left invisible
+// would strand its feed and its queue slot. settle returns the job as the
+// store holds it afterwards (zero for an unknown ID) and whether mutate
+// applied.
+func (m *Manager) settle(id string, mutate func(*Job) bool) (Job, bool, error) {
+	m.settleMu.Lock()
+	defer m.settleMu.Unlock()
+	var applied bool
+	j, _ := m.store.update(id, func(x *Job) { applied = mutate(x) })
+	if !applied {
+		return j, false, nil
+	}
+	err := m.spool.SaveManifest(&j)
+	if err != nil {
+		m.log.Printf("job %s: persist %s manifest: %v", id, j.State, err)
+	}
+	f := m.feed(id)
+	if j.State == StateQueued {
+		if err := m.sched.push(m.pushReq(&j), true); err != nil {
+			m.log.Printf("job %s: re-queue: %v", id, err)
+		}
+		m.gaugeQueueDepth()
+		f.Reopen()
+	}
+	f.Publish("state", stateEvent(&j))
+	if j.State.Terminal() && j.Finished != nil {
+		// Counted before the close, so a client whose stream has ended
+		// sees the count on /metrics.
+		if m.obs != nil {
+			m.obs.Add(finishedSeries(j.State), 1)
+		}
+		f.Close()
+	}
+	return j, true, err
+}
+
+// settleAttempt settles the outcome of job id's attempt. Every outcome
+// passes one guard first: a job that Cancel flipped while the attempt was
+// in flight is finished as cancelled, whatever the attempt returned.
+// Otherwise outcome applies to a job still running; a nil outcome (a
+// shutdown drain) leaves it running. It reports whether outcome applied.
+func (m *Manager) settleAttempt(id string, outcome func(x *Job, now time.Time)) (Job, bool) {
+	now := time.Now().UTC()
+	j, ok, _ := m.settle(id, func(x *Job) bool {
+		switch {
+		case x.State == StateCancelled && x.Finished == nil:
+			x.Finished = &now
+		case x.State == StateRunning && outcome != nil:
+			outcome(x, now)
+		default:
+			return false
+		}
+		return true
+	})
+	if ok && j.State == StateCancelled {
+		m.log.Printf("job %s: cancelled at epoch %d", id, j.Epoch)
+		return j, false
+	}
+	return j, ok
+}
+
 // runJob executes one attempt of the job.
 func (m *Manager) runJob(id string) {
 	j, ok := m.store.get(id)
@@ -542,20 +590,29 @@ func (m *Manager) runJob(id string) {
 	// cooldown instead of running it. The park consumes no attempt and
 	// no failure — the job just waits out the storm.
 	if wait := m.breakers.gate(j.Fingerprint); wait > 0 {
-		m.park(id, wait, RetryParked)
+		nr := time.Now().UTC().Add(wait)
+		if _, ok, _ := m.settle(id, func(x *Job) bool {
+			if x.State != StateQueued {
+				return false // cancel raced the park; the entry is already gone
+			}
+			x.NextRun = &nr
+			x.RetryState = RetryParked
+			return true
+		}); ok {
+			m.log.Printf("job %s: %s until %s", id, RetryParked, nr.Format(time.RFC3339))
+		}
 		return
 	}
 
+	// The attempt's cancel func is registered before the state flips, so
+	// a Cancel that sees the job running finds it, and dropped (release)
+	// before the outcome settles, so a Cancel that finds none knows no
+	// outcome is coming and finishes the job itself.
 	ctx, cancel := context.WithCancel(m.baseCtx)
+	defer cancel()
 	m.mu.Lock()
 	m.cancels[id] = cancel
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.cancels, id)
-		m.mu.Unlock()
-		cancel()
-	}()
 
 	// Gauge up before the state flips so anyone who observes a job in
 	// StateRunning also observes a non-zero running gauge, and down
@@ -565,38 +622,38 @@ func (m *Manager) runJob(id string) {
 		m.obs.Set(MetricJobsRunning, float64(m.running.Add(1)))
 	}
 	release := func() {
+		m.mu.Lock()
+		delete(m.cancels, id)
+		m.mu.Unlock()
 		if m.obs != nil {
 			m.obs.Set(MetricJobsRunning, float64(m.running.Add(-1)))
 		}
 	}
 	now := time.Now().UTC()
-	var started bool
-	j, _ = m.store.update(id, func(x *Job) {
+	j, started, err := m.settle(id, func(x *Job) bool {
 		if x.State != StateQueued { // cancel won the race since the get above
-			return
+			return false
 		}
-		started = true
 		x.State = StateRunning
 		x.Started = &now
 		x.Attempts++
 		x.RetryState = ""
 		x.NextRun = nil
+		return true
 	})
 	if !started {
 		release()
 		return
 	}
-	if err := m.spool.SaveManifest(&j); err != nil {
+	if err != nil {
 		release()
-		m.handleFailure(id, fmt.Errorf("persist manifest: %w", err))
+		m.handleFailure(&j, fmt.Errorf("persist manifest: %w", err))
 		return
 	}
-	m.feed(id).Publish("state", stateEvent(&j))
 	m.log.Printf("job %s: running (attempt %d)", id, j.Attempts)
 	start := time.Now()
 
 	var result []byte
-	var err error
 	switch j.Spec.Type {
 	case TypeField:
 		result, err = m.runField(ctx, id, &j)
@@ -614,265 +671,115 @@ func (m *Manager) runJob(id string) {
 		m.obs.Observe(MetricJobSeconds, time.Since(start).Seconds())
 	}
 
-	if err != nil && ctx.Err() != nil {
-		// Interrupted, not failed. Two flavors:
-		cur, _ := m.store.get(id)
-		if cur.State == StateCancelled {
-			// User cancel: terminal.
-			now := time.Now().UTC()
-			cj, _ := m.store.update(id, func(x *Job) { x.Finished = &now })
-			if err := m.spool.SaveManifest(&cj); err != nil {
-				m.log.Printf("job %s: persist cancel: %v", id, err)
-			}
-			m.finishFeed(id, &cj)
-			if m.obs != nil {
-				m.obs.Add(finishedSeries(StateCancelled), 1)
-			}
-			m.log.Printf("job %s: cancelled at epoch %d", id, cj.Epoch)
-			return
+	switch {
+	case err != nil && ctx.Err() != nil:
+		// Interrupted, not failed. A user cancel finishes the job through
+		// the guard. A shutdown drain leaves the manifest saying
+		// "running" — the durable marker recovery turns back into
+		// "queued", and the last checkpoint on disk is where the resume
+		// picks up.
+		if cur, _ := m.settleAttempt(id, nil); cur.State == StateRunning {
+			m.log.Printf("job %s: interrupted at epoch %d, will resume from checkpoint", id, cur.Epoch)
 		}
-		// Shutdown drain: leave the manifest saying "running" — that is
-		// the durable marker recovery turns back into "queued", and the
-		// last checkpoint on disk is where the resume picks up.
-		m.log.Printf("job %s: interrupted at epoch %d, will resume from checkpoint", id, cur.Epoch)
-		return
+	case err != nil:
+		m.handleFailure(&j, err)
+	default:
+		m.breakers.success(j.Fingerprint)
+		m.finish(&j, result)
 	}
-	if err != nil {
-		m.handleFailure(id, err)
-		return
-	}
-	m.breakers.success(j.Fingerprint)
-	m.finish(id, result)
 }
 
-// park re-queues a queued job with a future NextRun (breaker cooldown or
-// retry backoff), durably.
-func (m *Manager) park(id string, wait time.Duration, retryState string) {
-	nr := time.Now().UTC().Add(wait)
-	var parked bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State != StateQueued {
-			return // cancel raced the park; the entry is already gone
-		}
-		parked = true
-		x.NextRun = &nr
-		x.RetryState = retryState
-	})
-	if !ok || !parked {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist park: %v", id, err)
-	}
-	// Forced: the job held a queue slot before it was popped for this
-	// attempt; parking must not fail to backpressure.
-	if err := m.sched.push(m.pushReq(&j), true); err != nil {
-		m.log.Printf("job %s: park re-queue: %v", id, err)
-		return
-	}
-	m.gaugeQueueDepth()
-	m.feed(id).Publish("state", stateEvent(&j))
-	m.log.Printf("job %s: %s until %s", id, retryState, nr.Format(time.RFC3339))
-}
-
-// handleFailure routes a failed attempt: backoff-park while the retry
-// budget lasts, then dead-letter (or plain failure for legacy
+// handleFailure settles a failed attempt of j: backoff-park while the
+// retry budget lasts, then dead-letter (or plain failure for legacy
 // single-attempt jobs).
-func (m *Manager) handleFailure(id string, runErr error) {
-	j, ok := m.store.get(id)
-	if !ok {
-		return
-	}
-	pol := j.Spec.retryPolicy()
-	var failures int
-	var live bool
-	j, _ = m.store.update(id, func(x *Job) {
-		if x.State.Terminal() || x.State == StateQueued {
-			return // cancel (or something stranger) raced the failure
-		}
-		live = true
-		x.Failures++
-		failures = x.Failures
-		x.Error = runErr.Error()
-	})
-	if !live {
-		return
-	}
+func (m *Manager) handleFailure(j *Job, runErr error) {
 	m.breakers.failure(j.Fingerprint)
-
-	if failures < pol.maxAttempts {
-		delay := pol.delay(failures, jitterSeed(id))
-		nr := time.Now().UTC().Add(delay)
-		j, _ = m.store.update(id, func(x *Job) {
-			if x.State != StateRunning {
-				live = false
-				return
-			}
+	pol := j.Spec.retryPolicy()
+	var delay time.Duration
+	nj, ok := m.settleAttempt(j.ID, func(x *Job, now time.Time) {
+		x.Failures++
+		x.Error = runErr.Error()
+		switch {
+		case x.Failures < pol.maxAttempts:
+			delay = pol.delay(x.Failures, jitterSeed(x.ID))
+			nr := now.Add(delay)
 			x.State = StateQueued
 			x.RetryState = RetryBackoff
 			x.NextRun = &nr
-		})
-		if !live {
-			return
+		case pol.maxAttempts <= 1:
+			// Legacy single-attempt semantics: straight to failed.
+			x.State = StateFailed
+			x.Finished = &now
+		default:
+			// Dead-letter: terminal for the scheduler, resurrectable by
+			// an operator via Retry.
+			x.State = StateDead
+			x.RetryState = RetryExhausted
+			x.Finished = &now
+			x.NextRun = nil
 		}
-		if err := m.spool.SaveManifest(&j); err != nil {
-			m.log.Printf("job %s: persist backoff: %v", id, err)
-		}
-		if err := m.sched.push(m.pushReq(&j), true); err != nil {
-			m.log.Printf("job %s: backoff re-queue: %v", id, err)
-			return
-		}
+	})
+	if !ok {
+		return
+	}
+	switch nj.State {
+	case StateQueued:
 		if m.obs != nil {
 			m.obs.Add(MetricRetries, 1)
 		}
-		m.gaugeQueueDepth()
-		m.feed(id).Publish("state", stateEvent(&j))
 		m.log.Printf("job %s: attempt %d failed (%v), retry %d/%d in %s",
-			id, j.Attempts, runErr, failures, pol.maxAttempts, delay.Round(time.Millisecond))
-		return
+			nj.ID, nj.Attempts, runErr, nj.Failures, pol.maxAttempts, delay.Round(time.Millisecond))
+	case StateFailed:
+		m.log.Printf("job %s: failed: %v", nj.ID, runErr)
+	case StateDead:
+		if err := m.spool.MarkDead(&nj); err != nil {
+			m.log.Printf("job %s: dead-letter index: %v", nj.ID, err)
+		}
+		if m.obs != nil {
+			m.obs.Add(MetricDeadLetter, 1)
+		}
+		m.log.Printf("job %s: dead-lettered after %d attempts: %v", nj.ID, nj.Attempts, runErr)
 	}
-	if pol.maxAttempts <= 1 {
-		// Legacy single-attempt semantics: straight to failed.
-		m.fail(id, runErr)
-		return
-	}
-	m.deadLetter(id, runErr)
 }
 
-// fail moves the job to failed and persists it.
-func (m *Manager) fail(id string, runErr error) {
-	now := time.Now().UTC()
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State.Terminal() {
-			return
+// finish settles a successful attempt of j: a one-shot job goes done, a
+// recurring one re-queues its next run. Either way the result hits disk
+// before the state, so a crash between the two re-runs the job rather
+// than serving a done job with no result.
+func (m *Manager) finish(j *Job, result []byte) {
+	if err := m.spool.SaveResult(j.ID, result); err != nil {
+		m.handleFailure(j, fmt.Errorf("persist result: %w", err))
+		return
+	}
+	every := j.Spec.every()
+	if every <= 0 {
+		if _, ok := m.settleAttempt(j.ID, func(x *Job, now time.Time) {
+			x.State = StateDone
+			x.Failures = 0
+			x.Runs++
+			x.Finished = &now
+		}); ok {
+			m.log.Printf("job %s: done", j.ID)
 		}
-		x.State = StateFailed
-		x.Error = runErr.Error()
-		x.Finished = &now
-	})
-	if !ok {
 		return
 	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist failure: %v", id, err)
+	// Recurrence: the next run is a fresh simulation, not a resume, so the
+	// completed run's checkpoint goes first; the failure streak resets, so
+	// each recurrence gets the full retry budget.
+	if err := field.RemoveCheckpoint(m.spool.SnapshotPath(j.ID)); err != nil {
+		m.log.Printf("job %s: clear checkpoint for recurrence: %v", j.ID, err)
 	}
-	m.finishFeed(id, &j)
-	if m.obs != nil {
-		m.obs.Add(finishedSeries(StateFailed), 1)
-	}
-	m.log.Printf("job %s: failed: %v", id, runErr)
-}
-
-// deadLetter moves the job to the dead-letter state: terminal for the
-// scheduler, resurrectable by an operator via Retry.
-func (m *Manager) deadLetter(id string, runErr error) {
-	now := time.Now().UTC()
-	var raced bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State.Terminal() {
-			raced = true
-			return
-		}
-		x.State = StateDead
-		x.RetryState = RetryExhausted
-		x.Error = runErr.Error()
-		x.Finished = &now
-		x.NextRun = nil
-	})
-	if !ok || raced {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist dead-letter: %v", id, err)
-	}
-	if err := m.spool.MarkDead(&j); err != nil {
-		m.log.Printf("job %s: dead-letter index: %v", id, err)
-	}
-	m.finishFeed(id, &j)
-	if m.obs != nil {
-		m.obs.Add(MetricDeadLetter, 1)
-		m.obs.Add(finishedSeries(StateDead), 1)
-	}
-	m.log.Printf("job %s: dead-lettered after %d attempts: %v", id, j.Attempts, runErr)
-}
-
-// finish completes a successful attempt: one-shot jobs go terminal;
-// recurring jobs persist the run's result and re-queue the next run.
-// Either way the result hits disk before the state, so a crash between
-// the two re-runs the job rather than serving a done job with no result.
-func (m *Manager) finish(id string, result []byte) {
-	if err := m.spool.SaveResult(id, result); err != nil {
-		m.handleFailure(id, fmt.Errorf("persist result: %w", err))
-		return
-	}
-	j, ok := m.store.get(id)
-	if !ok {
-		return
-	}
-	if every := j.Spec.every(); every > 0 {
-		m.recur(id, every)
-		return
-	}
-	now := time.Now().UTC()
-	var raced bool
-	j, ok = m.store.update(id, func(x *Job) {
-		if x.State != StateRunning { // lost a race with Cancel
-			raced = true
-			return
-		}
-		x.State = StateDone
-		x.Failures = 0
-		x.Runs++
-		x.Finished = &now
-	})
-	if !ok || raced {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist done: %v", id, err)
-	}
-	m.finishFeed(id, &j)
-	if m.obs != nil {
-		m.obs.Add(finishedSeries(StateDone), 1)
-	}
-	m.log.Printf("job %s: done", id)
-}
-
-// recur re-queues a recurring job for its next run. The completed run's
-// checkpoint is deleted first — the next run is a fresh simulation, not
-// a resume — and the failure streak resets, so each recurrence gets the
-// full retry budget.
-func (m *Manager) recur(id string, every time.Duration) {
-	if err := field.RemoveCheckpoint(m.spool.SnapshotPath(id)); err != nil {
-		m.log.Printf("job %s: clear checkpoint for recurrence: %v", id, err)
-	}
-	nr := time.Now().UTC().Add(every)
-	var raced bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State != StateRunning { // lost a race with Cancel
-			raced = true
-			return
-		}
+	if nj, ok := m.settleAttempt(j.ID, func(x *Job, now time.Time) {
+		nr := now.Add(every)
 		x.State = StateQueued
 		x.Failures = 0
 		x.Runs++
 		x.Epoch = 0
 		x.Error = ""
 		x.NextRun = &nr
-	})
-	if !ok || raced {
-		return
+	}); ok {
+		m.log.Printf("job %s: run %d done, next at %s", j.ID, nj.Runs, nj.NextRun.Format(time.RFC3339))
 	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist recurrence: %v", id, err)
-	}
-	if err := m.sched.push(m.pushReq(&j), true); err != nil {
-		m.log.Printf("job %s: recurrence re-queue: %v", id, err)
-		return
-	}
-	m.gaugeQueueDepth()
-	m.feed(id).Publish("state", stateEvent(&j))
-	m.log.Printf("job %s: run %d done, next at %s", id, j.Runs, nr.Format(time.RFC3339))
 }
 
 // runField executes (or resumes) a field job, checkpointing at every

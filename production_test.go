@@ -1,10 +1,12 @@
 package repro
 
 // Guard test: every function and package-level variable declared in
-// internal/ must have a use in the module's non-test code (cmd/,
-// examples/, internal/). A checker or fixture that only tests need lives
-// in a _test.go file of its package, so the production packages compile
-// only what a program can run.
+// internal/ must be reachable from a program of the module (cmd/,
+// examples/), walking calls and references from main and init functions,
+// blank package-level initialisers, methods the standard library calls
+// through its interfaces, and the allowlist. A checker or fixture that
+// only tests need lives in a _test.go file of its package, so the
+// production packages compile only what a program can run.
 
 import (
 	"errors"
@@ -23,9 +25,10 @@ import (
 )
 
 // productionOnlyAllowlist names the functions in internal/ that no
-// program calls but that stay in the production packages, keyed
+// program reaches but that stay in the production packages, keyed
 // "importpath.Func" or "importpath.Type.Method", each with its reason.
-// No package-level variable is allowlisted.
+// They are roots of the walk, so what they call stays with them. No
+// package-level variable is allowlisted.
 var productionOnlyAllowlist = map[string]string{
 	"repro/internal/topo.Cluster.DiscoverConnectivity":      "§V-B connectivity discovery on a lossless channel",
 	"repro/internal/topo.Cluster.DiscoverConnectivityLossy": "§V-B connectivity discovery; docs/PROTOCOL.md §3 step 2 cites it",
@@ -48,16 +51,27 @@ func TestProductionCodeHasProductionCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, f := range prog.unusedDecls("internal") {
-		seen[f.key] = true
-		if _, ok := productionOnlyAllowlist[f.key]; !ok {
-			t.Errorf("%s:%d: %s has no non-test use; delete it, or move it into a _test.go file", f.file, f.line, f.key)
+	g := prog.callGraph()
+	byKey := map[string]types.Object{}
+	for _, d := range g.decls {
+		byKey[d.key] = d.obj
+	}
+	programs := g.reach(nil)
+	var allowed []types.Object
+	for key := range productionOnlyAllowlist {
+		switch obj, ok := byKey[key]; {
+		case !ok:
+			t.Errorf("allowlisted %s no longer exists; drop it from the allowlist", key)
+		case programs[obj]:
+			t.Errorf("allowlisted %s is reachable from a program; drop it from the allowlist", key)
+		default:
+			allowed = append(allowed, obj)
 		}
 	}
-	for key := range productionOnlyAllowlist {
-		if !seen[key] {
-			t.Errorf("allowlisted %s is called by non-test code or no longer exists; drop it from the allowlist", key)
+	reached := g.reach(allowed)
+	for _, d := range g.decls {
+		if strings.HasPrefix(d.file, "internal/") && !reached[d.obj] {
+			t.Errorf("%s:%d: %s is reachable from no program; delete it, or move it into a _test.go file", d.file, d.line, d.key)
 		}
 	}
 }
@@ -79,10 +93,28 @@ type modulePackage struct {
 	info      *types.Info
 }
 
-type unusedDecl struct {
-	key  string
-	file string
+// decl is one function, method or package-level variable of the module.
+type decl struct {
+	obj  types.Object // *types.Func or *types.Var
+	key  string       // "importpath.Name" or "importpath.Type.Method"
+	file string       // relative to the module root
 	line int
+}
+
+// callGraph records, for every declaration of the module's non-test
+// code, the objects its source refers to.
+type callGraph struct {
+	decls []decl
+	refs  map[types.Object][]types.Object
+	// roots are the references that run whatever a program does: the
+	// bodies of main and init functions, the initialisers of blank (_)
+	// package-level variables, and every method that implements an
+	// interface declared outside the module (the standard library calls
+	// String, Error, ServeHTTP and their kind through interfaces).
+	roots []types.Object
+	// methods indexes the module's concrete methods by name, for calls
+	// through a module interface.
+	methods map[string][]*types.Func
 }
 
 func loadModule(root string) (*moduleProgram, error) {
@@ -191,10 +223,8 @@ func (p *moduleProgram) load(path string) (*modulePackage, error) {
 		mp.files = append(mp.files, f)
 	}
 	mp.info = &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: p}
 	tp, err := conf.Check(path, p.fset, mp.files, mp.info)
@@ -207,47 +237,13 @@ func (p *moduleProgram) load(path string) (*modulePackage, error) {
 	return mp, nil
 }
 
-// unusedDecls lists every function, method and package-level variable
-// declared under dir (relative to the module root) that no non-test code
-// of the module refers to; a function's references inside its own body
-// do not count. A method counts as called when it implements a method of
-// an interface that is called, or of any interface declared outside the
-// module (the standard library calls String, Error, ServeHTTP and their
-// kind through interfaces).
-func (p *moduleProgram) unusedDecls(dir string) []unusedDecl {
-	used := map[*types.Func]bool{}
-	usedVars := map[*types.Var]bool{}
-	ifaces := map[*types.Interface]bool{}
-	for _, mp := range p.order {
-		// A reference inside a function's own body is no caller.
-		self := func(pos token.Pos, obj *types.Func) bool {
-			return obj.Pkg() == mp.types && obj.Scope() != nil && obj.Scope().Contains(pos)
-		}
-		mark := func(pos token.Pos, obj types.Object) {
-			switch o := obj.(type) {
-			case *types.Func:
-				if f := o.Origin(); !self(pos, f) {
-					used[f] = true
-				}
-			case *types.Var:
-				usedVars[o] = true
-			}
-		}
-		for id, obj := range mp.info.Uses {
-			mark(id.Pos(), obj)
-		}
-		for sel, s := range mp.info.Selections {
-			mark(sel.Sel.Pos(), s.Obj())
-		}
-		for _, tv := range mp.info.Types {
-			if tv.Type != nil {
-				if it, ok := tv.Type.Underlying().(*types.Interface); ok {
-					ifaces[it] = true
-				}
-			}
-		}
-	}
-	external := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+// callGraph builds the reference graph of the module's non-test code.
+// A function's edges are every object its declaration names (a method
+// value or a func literal counts as a call); a package-level variable's
+// edges are the objects its initialiser names.
+func (p *moduleProgram) callGraph() *callGraph {
+	g := &callGraph{refs: map[types.Object][]types.Object{}, methods: map[string][]*types.Func{}}
+	external := map[string][]*types.Interface{"Error": {types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}}
 	seenPkg := map[*types.Package]bool{}
 	var walk func(*types.Package)
 	walk = func(pkg *types.Package) {
@@ -255,16 +251,16 @@ func (p *moduleProgram) unusedDecls(dir string) []unusedDecl {
 			return
 		}
 		seenPkg[pkg] = true
-		inModule := p.pkgs[pkg.Path()] != nil
-		for _, name := range pkg.Scope().Names() {
-			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				ifaces[it] = true
-				if !inModule {
-					external[it] = true
+		if p.pkgs[pkg.Path()] == nil {
+			for _, name := range pkg.Scope().Names() {
+				tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+				if !ok {
+					continue
+				}
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumMethods(); i++ {
+						external[it.Method(i).Name()] = append(external[it.Method(i).Name()], it)
+					}
 				}
 			}
 		}
@@ -275,65 +271,76 @@ func (p *moduleProgram) unusedDecls(dir string) []unusedDecl {
 	for _, mp := range p.order {
 		walk(mp.types)
 	}
-	implementsUsed := func(fn *types.Func) bool {
-		named := recvNamed(fn)
-		if named == nil {
-			return false
-		}
-		for it := range ifaces {
-			var m *types.Func
-			for i := 0; i < it.NumMethods() && m == nil; i++ {
-				if it.Method(i).Name() == fn.Name() {
-					m = it.Method(i)
-				}
-			}
-			if m == nil || !(external[it] || used[m]) {
-				continue
-			}
-			// Implements cannot check an uninstantiated generic type, so
-			// its methods are matched by name alone.
-			generic := named.TypeParams().Len() > 0
-			if generic || types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
-				return true
-			}
-		}
-		return false
-	}
-	prefix := filepath.Join(p.root, dir) + string(filepath.Separator)
-	var out []unusedDecl
 	for _, mp := range p.order {
-		if !strings.HasPrefix(mp.dir+string(filepath.Separator), prefix) {
-			continue
+		uses := func(n ast.Node) []types.Object {
+			var out []types.Object
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && mp.info.Uses[id] != nil {
+					obj := mp.info.Uses[id]
+					if f, ok := obj.(*types.Func); ok {
+						obj = f.Origin()
+					}
+					out = append(out, obj)
+				}
+				return true
+			})
+			return out
 		}
-		add := func(key string, pos token.Pos) {
+		add := func(obj types.Object, key string, pos token.Pos) {
 			at := p.fset.Position(pos)
 			rel, _ := filepath.Rel(p.root, at.Filename)
-			out = append(out, unusedDecl{key: key, file: filepath.ToSlash(rel), line: at.Line})
+			g.decls = append(g.decls, decl{obj: obj, key: key, file: filepath.ToSlash(rel), line: at.Line})
 		}
 		for _, f := range mp.files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Name.Name == "_" || d.Name.Name == "init" {
+					fn, ok := mp.info.Defs[d.Name].(*types.Func)
+					if !ok {
 						continue
 					}
-					fn := mp.info.Defs[d.Name].(*types.Func)
-					if used[fn] || implementsUsed(fn) {
+					refs := uses(d)
+					named := recvNamed(fn)
+					switch {
+					case named == nil && (fn.Name() == "init" || fn.Name() == "main" && mp.types.Name() == "main"):
+						g.roots = append(g.roots, refs...)
+						continue
+					case named != nil:
+						g.methods[fn.Name()] = append(g.methods[fn.Name()], fn)
+						for _, it := range external[fn.Name()] {
+							if implements(named, it) {
+								g.roots = append(g.roots, fn)
+								break
+							}
+						}
+					}
+					if d.Name.Name == "_" {
 						continue
 					}
+					g.refs[fn] = refs
 					key := mp.path + "." + fn.Name()
-					if named := recvNamed(fn); named != nil {
+					if named != nil {
 						key = mp.path + "." + named.Obj().Name() + "." + fn.Name()
 					}
-					add(key, d.Pos())
+					add(fn, key, d.Pos())
 				case *ast.GenDecl:
 					if d.Tok != token.VAR {
 						continue
 					}
 					for _, spec := range d.Specs {
-						for _, name := range spec.(*ast.ValueSpec).Names {
-							if v, ok := mp.info.Defs[name].(*types.Var); ok && name.Name != "_" && !usedVars[v] {
-								add(mp.path+"."+name.Name, name.Pos())
+						vs := spec.(*ast.ValueSpec)
+						var refs []types.Object
+						for _, v := range vs.Values {
+							refs = append(refs, uses(v)...)
+						}
+						for _, name := range vs.Names {
+							if name.Name == "_" {
+								g.roots = append(g.roots, refs...)
+								continue
+							}
+							if v, ok := mp.info.Defs[name].(*types.Var); ok {
+								g.refs[v] = refs
+								add(v, mp.path+"."+name.Name, name.Pos())
 							}
 						}
 					}
@@ -341,13 +348,67 @@ func (p *moduleProgram) unusedDecls(dir string) []unusedDecl {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].file != out[j].file {
-			return out[i].file < out[j].file
+	sort.Slice(g.decls, func(i, j int) bool {
+		if g.decls[i].file != g.decls[j].file {
+			return g.decls[i].file < g.decls[j].file
 		}
-		return out[i].line < out[j].line
+		return g.decls[i].line < g.decls[j].line
 	})
-	return out
+	return g
+}
+
+// reach walks the graph from its roots plus extra and returns every
+// declaration it reaches. A call through a module interface method
+// reaches every module method of that name whose type implements the
+// interface.
+func (g *callGraph) reach(extra []types.Object) map[types.Object]bool {
+	reached := map[types.Object]bool{}
+	called := map[*types.Func]bool{} // interface methods
+	queue := append(append([]types.Object{}, g.roots...), extra...)
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if it := interfaceOf(obj); it != nil {
+			if fn := obj.(*types.Func); !called[fn] {
+				called[fn] = true
+				for _, m := range g.methods[fn.Name()] {
+					if implements(recvNamed(m), it) {
+						queue = append(queue, m)
+					}
+				}
+			}
+			continue
+		}
+		refs, ok := g.refs[obj]
+		if !ok || reached[obj] {
+			continue
+		}
+		reached[obj] = true
+		queue = append(queue, refs...)
+	}
+	return reached
+}
+
+// interfaceOf returns the interface that declares obj when obj is an
+// interface method, and nil otherwise.
+func interfaceOf(obj types.Object) *types.Interface {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	it, _ := recv.Type().Underlying().(*types.Interface)
+	return it
+}
+
+// implements reports whether named or its pointer implements it.
+// Implements cannot check an uninstantiated generic type, so its methods
+// are matched by name alone.
+func implements(named *types.Named, it *types.Interface) bool {
+	return named.TypeParams().Len() > 0 || types.Implements(named, it) || types.Implements(types.NewPointer(named), it)
 }
 
 // recvNamed returns the named type of fn's receiver, or nil for a plain
