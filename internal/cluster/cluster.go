@@ -145,8 +145,11 @@ type Runner struct {
 	// Part is the sector partition (nil without sectors).
 	Part   *sector.Partition
 	Oracle *radio.TestedOracle
-	gen    workload.Generator
-	demand []int
+	// testsBase is Oracle.Tests when the runner was built, so
+	// CycleResult.OracleTests counts this runner's tests only.
+	testsBase int
+	gen       workload.Generator
+	demand    []int
 	// groups lists the sensor groups that wake in turn: one group of all
 	// sensors without sectors, or one per sector.
 	groups [][]int
@@ -186,6 +189,17 @@ func NewRunner(c *topo.Cluster, p Params) (*Runner, error) {
 // is valid until the next runner is built with the same scratch; a nil
 // scratch is replaced by a zero-value one owned by the runner, which
 // behaves identically to a reused one.
+//
+// The scratch also keeps what the head learned. Its tested oracle keeps
+// its verdicts while the cluster's medium, the medium's PowerRev and M
+// are those of the previous build: a verdict is a function of the
+// medium's powers alone, and radio.Medium.PowerRev moves whenever one
+// may change. With the plan pointer unchanged too, the sector partition,
+// its groups and their routes are kept as well: the partition is a
+// function of the plan, the connectivity the plan was solved on, the
+// demand and the verdicts, and the runner only reads it after the build.
+// Anything else resets the oracle and rebuilds the partition, so kept
+// and rebuilt runners behave identically.
 func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *RunnerScratch) (*Runner, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -221,37 +235,49 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 		}
 		cache.Store(c.ConnectivityRev(), demand, p.Search, plan)
 	}
-	if scr.oracle == nil {
+	learned := scr.oracle != nil && scr.med == c.Med && scr.powerRev == c.Med.PowerRev() && scr.m == p.M
+	switch {
+	case scr.oracle == nil:
 		scr.oracle = radio.NewTestedOracle(radio.SINROracle{M: c.Med}, p.M)
-	} else {
+	case !learned:
 		scr.oracle.Reset(radio.SINROracle{M: c.Med}, p.M)
 	}
+	if !learned || scr.plan != plan {
+		scr.part = nil
+	}
+	scr.med, scr.powerRev, scr.m, scr.plan = c.Med, c.Med.PowerRev(), p.M, plan
 	r := &Runner{
 		C:           c,
 		P:           p,
 		Plan:        plan,
 		Oracle:      scr.oracle,
+		testsBase:   scr.oracle.Tests,
 		gen:         gen,
 		demand:      demand,
 		Unreachable: scr.unreachable,
 		scr:         scr,
 	}
 	if p.UseSectors {
-		part, err := sector.BuildPartition(c.G, topo.Head, plan.CycleRoutes(0), demand,
-			sector.Options{Oracle: r.Oracle})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: sector partition failed: %w", err)
-		}
-		r.Part = part
-		for _, sec := range part.Sectors {
-			r.groups = append(r.groups, sec)
-			routes := make(map[int][]int, len(sec))
-			for _, v := range sec {
-				routes[v] = treePath(part.Parent, v, topo.Head)
+		if scr.part == nil {
+			part, err := sector.BuildPartition(c.G, topo.Head, plan.CycleRoutes(0), demand,
+				sector.Options{Oracle: r.Oracle})
+			if err != nil {
+				return nil, fmt.Errorf("cluster: sector partition failed: %w", err)
 			}
-			r.groupRoutes = append(r.groupRoutes, routes)
+			scr.groups, scr.groupRoutes = scr.groups[:0], nil
+			for _, sec := range part.Sectors {
+				scr.groups = append(scr.groups, sec)
+				routes := make(map[int][]int, len(sec))
+				for _, v := range sec {
+					routes[v] = treePath(part.Parent, v, topo.Head)
+				}
+				scr.groupRoutes = append(scr.groupRoutes, routes)
+			}
+			scr.part = part
 		}
+		r.Part, r.groups, r.groupRoutes = scr.part, scr.groups, scr.groupRoutes
 	} else {
+		scr.part = nil // scr.groups is about to hold the all-sensors group
 		scr.all = scr.all[:0]
 		for v := 1; v <= n; v++ {
 			if c.Level[v] > 0 {
@@ -299,8 +325,10 @@ type CycleResult struct {
 	// ActiveFraction is the mean per-sensor awake fraction — the paper's
 	// Fig. 7(a) metric.
 	ActiveFraction float64
-	// OracleTests is the cumulative number of interference groups the
-	// head has tested so far (Section IV's sector benefit).
+	// OracleTests is the number of interference groups the head has
+	// tested since this runner was built, partition included (Section
+	// IV's sector benefit). Groups it already knew from an earlier runner
+	// on the same scratch are not tested again and do not count.
 	OracleTests int
 }
 
@@ -370,7 +398,7 @@ func (r *Runner) RunCycle() (*CycleResult, error) {
 	if n > 0 {
 		res.ActiveFraction = sum / float64(n)
 	}
-	res.OracleTests = r.Oracle.Tests
+	res.OracleTests = r.Oracle.Tests - r.testsBase
 	if r.Obs != nil {
 		r.emit(res)
 	}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/radio"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -155,5 +157,126 @@ func TestTracedRunnerOnScratch(t *testing.T) {
 	}
 	if traced.Trace.Len() <= len(cycle0) {
 		t.Errorf("cycles 1-2 recorded nothing: %d events in all", traced.Trace.Len())
+	}
+}
+
+// TestRunnerKeepsLearnedStateWhileRadioUnchanged pins the validity rule
+// of a scratch's learned state. A rebuild with nothing changed keeps the
+// oracle's verdicts and shares the sector partition, and its cycles
+// equal a fresh runner's with OracleTests counting only the groups the
+// earlier runner had not tested. After a transmit power change, a
+// shadowing refresh, a failure batch, a new demand (a new plan on the
+// same medium) or a new M, the rebuilt runner equals a fresh NewRunner
+// on an identical cluster, OracleTests included.
+func TestRunnerKeepsLearnedStateWhileRadioUnchanged(t *testing.T) {
+	build := func() *topo.Cluster {
+		cfg := topo.DefaultConfig(30, 167)
+		cfg.Prop = radio.NewLogDistance(3.5, 1)
+		c, err := topo.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	type change struct {
+		name  string
+		apply func(c *topo.Cluster, p *Params)
+		// radio is false for a change that leaves every verdict valid:
+		// the rebuild keeps them and only re-partitions.
+		radio bool
+	}
+	changes := []change{
+		{"SetTxPower", func(c *topo.Cluster, _ *Params) { c.Med.SetTxPower(7, 1.5*c.Med.TxPower(7)) }, true},
+		{"RefreshConnectivity", func(c *topo.Cluster, _ *Params) {
+			c.Cfg.Prop.(*radio.LogDistance).ShadowDB = radio.HashShadow(5, 3)
+			c.RefreshConnectivity()
+		}, true},
+		{"MarkFailedBatch", func(c *topo.Cluster, _ *Params) { c.MarkFailedBatch([]int{3, 11}) }, true},
+		{"new demand", func(_ *topo.Cluster, p *Params) { p.RateBps *= 2 }, false},
+		{"new M", func(_ *topo.Cluster, p *Params) { p.M = 2 }, true},
+	}
+	for _, sectors := range []bool{false, true} {
+		p := DefaultParams()
+		p.Seed = 11
+		p.UseSectors = sectors
+		base := p
+		c := build()
+		cache := &routing.PlanCache{}
+		scr := &RunnerScratch{}
+		// fresh runs a runner on its own scratch over a cluster that went
+		// through the first n changes.
+		fresh := func(n int, p Params) *Summary {
+			t.Helper()
+			fc := build()
+			for _, ch := range changes[:n] {
+				ch.apply(fc, &p)
+			}
+			r, err := NewRunner(fc, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := r.Run(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		first, err := NewRunnerScratch(c, p, cache, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := first.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		learned := first.Oracle.Tests
+
+		kept, err := NewRunnerScratch(c, p, cache, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept.Oracle.Tests != learned {
+			t.Fatalf("sectors=%v: unchanged rebuild has %d tested groups, want the %d learned", sectors, kept.Oracle.Tests, learned)
+		}
+		if kept.Part != first.Part {
+			t.Fatalf("sectors=%v: unchanged rebuild did not share the partition", sectors)
+		}
+		got, err := kept.Run(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh(0, base)
+		if got.OracleTests != want.OracleTests-learned {
+			t.Errorf("sectors=%v: kept runner tested %d groups, want %d - %d", sectors, got.OracleTests, want.OracleTests, learned)
+		}
+		got.OracleTests = want.OracleTests
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("sectors=%v: kept runner summary\n%v\nfresh\n%v", sectors, got, want)
+		}
+
+		for i, ch := range changes {
+			prev := kept.Part
+			ch.apply(c, &p)
+			kept, err = NewRunnerScratch(c, p, cache, scr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sectors && kept.Part == prev {
+				t.Errorf("sectors=%v, %s: rebuild kept the stale partition", sectors, ch.name)
+			}
+			if known := kept.testsBase; ch.radio != (known == 0) {
+				t.Errorf("sectors=%v, %s: rebuild starts from %d known groups", sectors, ch.name, known)
+			}
+			got, err := kept.Run(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fresh(i+1, base)
+			if !ch.radio {
+				got.OracleTests = want.OracleTests
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("sectors=%v, %s: rebuilt runner summary\n%v\nfresh\n%v", sectors, ch.name, got, want)
+			}
+		}
 	}
 }

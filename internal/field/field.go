@@ -290,8 +290,10 @@ type clusterSlot struct {
 	// reuse the plan instead of re-solving the flow network. The plan is a
 	// pure function of the key, so hits cannot perturb determinism.
 	cache *routing.PlanCache
-	// runner is the reusable runner-build state (oracle, routing
-	// workspace, polling buffers), created on first use.
+	// runner is the reusable runner-build state (the head's verdicts and
+	// sector partition, kept while the cluster's radio and plan are
+	// unchanged; routing workspace; polling buffers), created on first
+	// use.
 	runner *cluster.RunnerScratch
 	// epoch counts the epochs the cluster has completed; rev is the
 	// shadow revision its materialized links reflect.

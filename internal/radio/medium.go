@@ -67,6 +67,7 @@ type Medium struct {
 
 	pairs     int    // materialized directed links, kept current by refreshRow
 	refreshed uint64 // cumulative link power recomputations
+	powerRev  uint64 // see PowerRev
 
 	RxThreshold  float64 // minimum received power for decoding, watts
 	CaptureRatio float64 // linear SINR required to capture
@@ -146,7 +147,25 @@ func (m *Medium) SetTxPower(i int, watts float64) {
 	}
 	m.txPower[m.checkNode(i)] = watts
 	m.refreshRow(i)
+	m.powerRev++
 }
+
+// PowerRev is the medium's revision: it counts the SetTxPower calls
+// (including those setting 0) and Refresh passes since construction; no
+// query moves it. Every received power, materialized or analytic, is a
+// function of positions, transmit powers and the propagation model, and
+// the last two change only through SetTxPower and Refresh (a mutated
+// model is Refreshed before the next query, and the decision thresholds
+// are fixed once powers are assigned). So while PowerRev holds, every
+// answer the medium gives — every GroupCompatible verdict included —
+// stays the same, and a verdict cache keyed on the medium and PowerRev
+// never goes stale.
+//
+// The rule is deliberately coarse: a Refresh moves it even over empty
+// rows, where Stats().Refreshed stays put but analytic far-pair powers
+// still change, and so does a SetTxPower on a node no cached group
+// sends from.
+func (m *Medium) PowerRev() uint64 { return m.powerRev }
 
 // TxPower returns node i's transmit power in watts.
 func (m *Medium) TxPower(i int) float64 { return m.txPower[m.checkNode(i)] }
@@ -194,6 +213,7 @@ func (m *Medium) Refresh() {
 		}
 		m.refreshed += uint64(len(row.nbr))
 	}
+	m.powerRev++
 }
 
 // refreshRow recomputes node tx's cutoff radius and rebuilds its

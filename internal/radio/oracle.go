@@ -104,8 +104,9 @@ func packGroup(txs []Transmission) (key packedKey, ok bool) {
 // TestedOracle models the head's practical knowledge (Section V-E): it
 // learns compatibility by physically testing groups of at most M
 // transmissions and caches the results. Tests counts the distinct groups
-// tested, which the sector analysis uses ("if we divide a cluster with 80
-// sensors into 8 sectors ... far less groups need to be tested").
+// tested since construction or the last Reset, which the sector analysis
+// uses ("if we divide a cluster with 80 sensors into 8 sectors ... far
+// less groups need to be tested").
 //
 // A TestedOracle is safe for concurrent use, so one oracle (and its
 // learned cache) can be shared across parallel sweep workers. Tests stays
@@ -180,10 +181,13 @@ func (o *TestedOracle) Compatible(txs []Transmission) bool {
 
 // Reset re-arms the oracle over a (possibly new) truth oracle and group
 // bound, clearing every cached verdict and the test counter but keeping
-// the maps' allocated buckets — the epoch-loop reuse hook. After Reset
-// the oracle answers exactly as a fresh NewTestedOracle(truth, m) would:
-// stale verdicts cannot leak because the caches are emptied, and Tests
-// restarts from zero. Must not race with Compatible calls.
+// the maps' allocated buckets. After Reset the oracle answers exactly as
+// a fresh NewTestedOracle(truth, m) would: stale verdicts cannot leak
+// because the caches are emptied, and Tests restarts from zero. A caller
+// that keeps the oracle across a change of its truth — a cluster runner
+// whose medium moved to a new radio.Medium.PowerRev — must Reset it; one
+// whose truth is unchanged keeps its verdicts by not calling Reset. Must
+// not race with Compatible calls.
 func (o *TestedOracle) Reset(truth CompatibilityOracle, m int) {
 	if m < 1 {
 		panic("radio: TestedOracle requires M >= 1")
