@@ -103,7 +103,9 @@ func BenchmarkGreedyM2(b *testing.B) { benchGreedyM(b, 2) }
 func BenchmarkGreedyM3(b *testing.B) { benchGreedyM(b, 3) }
 func BenchmarkGreedyM4(b *testing.B) { benchGreedyM(b, 4) }
 
-func benchDeltaSearch(b *testing.B, s routing.DeltaSearch) {
+// BenchmarkRoutingDelta times the min-max routing's bounded delta ascent
+// (paper Section III-A increments delta linearly).
+func BenchmarkRoutingDelta(b *testing.B) {
 	c := benchCluster(b, 40)
 	demand := make([]int, c.Sensors()+1)
 	for v := 1; v < len(demand); v++ {
@@ -111,16 +113,11 @@ func benchDeltaSearch(b *testing.B, s routing.DeltaSearch) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := routing.BalancedPaths(c.G, topo.Head, demand, s); err != nil {
+		if _, err := routing.BalancedPaths(c.G, topo.Head, demand); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkRoutingDeltaSearch* ablate the delta search strategy of the
-// min-max routing (paper Section III-A increments delta linearly).
-func BenchmarkRoutingDeltaSearchLinear(b *testing.B) { benchDeltaSearch(b, routing.LinearSearch) }
-func BenchmarkRoutingDeltaSearchBinary(b *testing.B) { benchDeltaSearch(b, routing.BinarySearch) }
 
 // BenchmarkDelayVariant ablates packet delay (Theorem 2: it cannot help).
 func BenchmarkDelayVariant(b *testing.B) {
@@ -198,7 +195,7 @@ func BenchmarkGreedyScheduler(b *testing.B) {
 	for v := 1; v <= 50; v++ {
 		demand[v] = 4
 	}
-	plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+	plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -179,12 +179,12 @@ func main() {
 	runAblation := func(name string) {
 		switch name {
 		case "delta":
-			rows, err := exp.AblationDeltaSearch(opts, []int{15, 30, 45, 60}, 1)
+			rows, err := exp.AblationDelta(opts, []int{15, 30, 45, 60}, 1)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Println("Ablation: routing delta search (paper +1 ascent, bounded linear, binary)")
-			fmt.Println(exp.RenderDeltaSearch(rows))
+			fmt.Println("Ablation: routing delta search (paper +1 ascent, bounded linear)")
+			fmt.Println(exp.RenderDelta(rows))
 		case "m":
 			rows, err := exp.AblationM(opts, 25, []int{1, 2, 3, 4}, 1, 3)
 			if err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/obs"
-	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -36,7 +35,6 @@ func main() {
 		loss      = flag.Float64("loss", 0.02, "per-transmission loss probability")
 		seed      = flag.Int64("seed", 1, "deployment and workload seed")
 		sectors   = flag.Bool("sectors", false, "divide the cluster into sectors")
-		binary    = flag.Bool("binary-delta", false, "use binary search for the routing delta")
 		battery   = flag.Float64("battery", 100, "sensor battery capacity in joules")
 		tracePath = flag.String("trace", "", "write a slot-level CSV trace of the data phases to this file")
 		metrics   = flag.String("metrics", "", "write a metrics snapshot to this file (.prom/.txt = Prometheus text, else JSON)")
@@ -54,9 +52,6 @@ func main() {
 	p.LossProb = *loss
 	p.Seed = *seed
 	p.UseSectors = *sectors
-	if *binary {
-		p.Search = routing.BinarySearch
-	}
 
 	r, err := cluster.NewRunner(c, p)
 	if err != nil {

@@ -36,7 +36,7 @@ func main() {
 	for v := 1; v <= *nodes; v++ {
 		demand[v] = 1
 	}
-	plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+	plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Step 1: min-max load routing via the flow network (Section III-A).
-	plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.LinearSearch)
+	plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestFullLifecycle(t *testing.T) {
 	for v := 1; v <= 35; v++ {
 		demand[v] = 2
 	}
-	plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+	plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFullLifecycle(t *testing.T) {
 	if victim == 0 {
 		t.Fatal("no first-level sensor to kill")
 	}
-	c.MarkFailed(victim)
+	c.MarkFailedBatch([]int{victim})
 	r2, err := cluster.NewRunner(c, p)
 	if err != nil {
 		t.Fatal(err)

@@ -51,8 +51,6 @@ type Params struct {
 	Energy energy.Model
 	// UseSectors enables sector partitioning.
 	UseSectors bool
-	// Search picks the routing delta search strategy.
-	Search routing.DeltaSearch
 	// AllowDelay switches the scheduler to the delay-allowed variant
 	// (ablation; Theorem 2 says it cannot help).
 	AllowDelay bool
@@ -179,16 +177,17 @@ func NewRunner(c *topo.Cluster, p Params) (*Runner, error) {
 	return NewRunnerScratch(c, p, nil, nil)
 }
 
-// NewRunnerScratch is NewRunner with an optional routing plan cache and
-// a per-cluster RunnerScratch. When cache holds a plan for the cluster's
-// current connectivity revision and demand, the flow solve is skipped and
-// the cached plan reused. The plan is a pure function of (connectivity,
-// demand, search), so a hit changes nothing about the runner's behavior —
-// cached and freshly solved runners are byte-identical. A nil cache plans
-// from scratch every time. The runner keeps its buffers in the scratch and
-// is valid until the next runner is built with the same scratch; a nil
-// scratch is replaced by a zero-value one owned by the runner, which
-// behaves identically to a reused one.
+// NewRunnerScratch is NewRunner with a per-cluster routing plan cache and
+// RunnerScratch. When cache holds a plan for the cluster's current
+// connectivity revision and demand, the flow solve is skipped and the
+// cached plan reused. The plan is a pure function of (connectivity,
+// demand), so a hit changes nothing about the runner's behavior — cached
+// and freshly solved runners are byte-identical. A nil cache is replaced
+// by an empty one private to the call, so it plans from scratch. The
+// runner keeps its buffers in the scratch and is valid until the next
+// runner is built with the same scratch; a nil scratch is replaced by a
+// zero-value one owned by the runner, which behaves identically to a
+// reused one.
 //
 // The scratch also keeps what the head learned. Its tested oracle keeps
 // its verdicts while the cluster's medium, the medium's PowerRev and M
@@ -210,6 +209,9 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 	if p.PoissonTraffic {
 		gen = workload.NewPoisson(n, p.RateBps, p.DataBytes, p.Seed^0x50a550a5)
 	}
+	if cache == nil {
+		cache = new(routing.PlanCache)
+	}
 	if scr == nil {
 		scr = &RunnerScratch{}
 	}
@@ -221,19 +223,19 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 		if c.Level[v] > 0 {
 			demand[v] = cbr.PlanningDemand(p.Cycle)
 		} else {
-			// Failed or stranded sensors (topo.Cluster.MarkFailed) take
-			// no part in the cluster.
+			// Failed or stranded sensors (topo.Cluster.MarkFailedBatch)
+			// take no part in the cluster.
 			scr.unreachable = append(scr.unreachable, v)
 		}
 	}
-	plan := cache.Lookup(c.ConnectivityRev(), demand, p.Search)
+	plan := cache.Lookup(c.ConnectivityRev(), demand)
 	if plan == nil {
 		var err error
-		plan, err = routing.BalancedPathsWS(&scr.ws, c.G, topo.Head, demand, p.Search)
+		plan, err = routing.BalancedPathsWS(&scr.ws, c.G, topo.Head, demand)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: routing failed: %w", err)
 		}
-		cache.Store(c.ConnectivityRev(), demand, p.Search, plan)
+		cache.Store(c.ConnectivityRev(), demand, plan)
 	}
 	learned := scr.oracle != nil && scr.med == c.Med && scr.powerRev == c.Med.PowerRev() && scr.m == p.M
 	switch {

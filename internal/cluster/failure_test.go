@@ -44,7 +44,7 @@ func TestRelayFailureRePlanning(t *testing.T) {
 	}
 
 	// Kill the busiest relay; rebuild and re-plan.
-	c.MarkFailed(victim)
+	c.MarkFailedBatch([]int{victim})
 	after, err := NewRunner(c, p)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestFailureWithSectors(t *testing.T) {
 	if victim == 0 {
 		t.Skip("no relays")
 	}
-	c.MarkFailed(victim)
+	c.MarkFailedBatch([]int{victim})
 	r, err := NewRunner(c, p)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestHeadCannotFail(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.MarkFailed(topo.Head)
+	c.MarkFailedBatch([]int{topo.Head})
 }
 
 func TestReachableShrinksAfterFailure(t *testing.T) {
@@ -146,7 +146,7 @@ func TestReachableShrinksAfterFailure(t *testing.T) {
 	if before != 20 {
 		t.Fatalf("initially reachable = %d", before)
 	}
-	c.MarkFailed(5)
+	c.MarkFailedBatch([]int{5})
 	after := c.ReachableCount()
 	if after >= before {
 		t.Fatalf("reachable %d should shrink after failure", after)

@@ -103,8 +103,8 @@ func RunLongitudinal(c *topo.Cluster, p Params, batteryJoules float64,
 		for _, v := range newlyDead {
 			dead[v] = true
 			alive--
-			c.MarkFailed(v)
 		}
+		c.MarkFailedBatch(newlyDead)
 		runner, err = NewRunner(c, p)
 		if err != nil {
 			return nil, err

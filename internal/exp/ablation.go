@@ -15,46 +15,39 @@ import (
 // This file implements the ablations DESIGN.md calls out: each isolates
 // one design choice of the paper and measures its effect.
 
-// DeltaSearchRow compares the delta searches for one cluster size:
-// identical Delta, different solve counts. PaperSolves is derived, not
-// run: the paper's ascent from the largest demand by +1 takes
-// Delta - maxDemand + 1 solves, plus the canonical solve.
-type DeltaSearchRow struct {
-	Nodes                   int
-	Delta                   int
-	PaperSolves             int
-	LinearSolves, BinSolves int
+// DeltaRow compares the paper's delta ascent with the bounded one for
+// one cluster size: identical Delta, different solve counts. PaperSolves
+// is derived, not run: the paper's ascent from the largest demand by +1
+// takes Delta - maxDemand + 1 solves, plus the canonical solve.
+type DeltaRow struct {
+	Nodes        int
+	Delta        int
+	PaperSolves  int
+	LinearSolves int
 }
 
-// AblationDeltaSearch runs the routing search comparison, one cluster
-// size per parallel sweep cell.
-func AblationDeltaSearch(o Options, nodes []int, seed int64) ([]DeltaSearchRow, error) {
-	return Sweep(o, len(nodes), func(i int) (DeltaSearchRow, error) {
+// AblationDelta runs the routing search comparison, one cluster size per
+// parallel sweep cell.
+func AblationDelta(o Options, nodes []int, seed int64) ([]DeltaRow, error) {
+	return Sweep(o, len(nodes), func(i int) (DeltaRow, error) {
 		n := nodes[i]
 		c, err := topo.Build(topo.DefaultConfig(n, seed))
 		if err != nil {
-			return DeltaSearchRow{}, err
+			return DeltaRow{}, err
 		}
 		const perSensor = 2
 		demand := make([]int, n+1)
 		for v := 1; v <= n; v++ {
 			demand[v] = perSensor
 		}
-		lin, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.LinearSearch)
+		plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 		if err != nil {
-			return DeltaSearchRow{}, err
+			return DeltaRow{}, err
 		}
-		bin, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
-		if err != nil {
-			return DeltaSearchRow{}, err
-		}
-		if lin.Delta != bin.Delta {
-			return DeltaSearchRow{}, fmt.Errorf("exp: delta mismatch %d vs %d", lin.Delta, bin.Delta)
-		}
-		return DeltaSearchRow{
-			Nodes: n, Delta: lin.Delta,
-			PaperSolves:  lin.Delta - perSensor + 2,
-			LinearSolves: lin.Solves, BinSolves: bin.Solves,
+		return DeltaRow{
+			Nodes: n, Delta: plan.Delta,
+			PaperSolves:  plan.Delta - perSensor + 2,
+			LinearSolves: plan.Solves,
 		}, nil
 	})
 }
@@ -203,7 +196,7 @@ func AblationInterferenceModel(o Options, n, trials int, seed int64) (*Interfere
 		for v := 1; v <= n; v++ {
 			demand[v] = 1
 		}
-		plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+		plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 		if err != nil {
 			return tally{}, err
 		}
@@ -248,14 +241,14 @@ func AblationInterferenceModel(o Options, n, trials int, seed int64) (*Interfere
 	return res, nil
 }
 
-// RenderDeltaSearch formats the routing ablation.
-func RenderDeltaSearch(rows []DeltaSearchRow) string {
-	headers := []string{"nodes", "delta", "paper +1 solves", "linear solves", "binary solves"}
+// RenderDelta formats the routing ablation.
+func RenderDelta(rows []DeltaRow) string {
+	headers := []string{"nodes", "delta", "paper +1 solves", "linear solves"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
 			fmt.Sprintf("%d", r.Nodes), fmt.Sprintf("%d", r.Delta), fmt.Sprintf("%d", r.PaperSolves),
-			fmt.Sprintf("%d", r.LinearSolves), fmt.Sprintf("%d", r.BinSolves),
+			fmt.Sprintf("%d", r.LinearSolves),
 		})
 	}
 	return stats.Table(headers, out)

@@ -105,7 +105,7 @@ func AblationOrder(o Options, n int, seed int64, cycles int) ([]OrderRow, error)
 	for v := 1; v <= n; v++ {
 		demand[v] = 2
 	}
-	plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+	plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		return nil, err
 	}

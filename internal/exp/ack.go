@@ -44,7 +44,7 @@ func AblationAckCover(o Options, nodes []int, seeds []int64) ([]AckRow, error) {
 			for v := 1; v <= n; v++ {
 				demand[v] = 1
 			}
-			plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+			plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 			if err != nil {
 				return AckRow{}, err
 			}

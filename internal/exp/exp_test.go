@@ -95,8 +95,8 @@ func TestFig7cQuickShape(t *testing.T) {
 	}
 }
 
-func TestAblationDeltaSearch(t *testing.T) {
-	rows, err := AblationDeltaSearch(Options{}, []int{15, 30}, 3)
+func TestAblationDelta(t *testing.T) {
+	rows, err := AblationDelta(Options{}, []int{15, 30}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestAblationDeltaSearch(t *testing.T) {
 		if r.Delta < 2 {
 			t.Errorf("delta %d should be at least the per-sensor demand", r.Delta)
 		}
-		if r.LinearSolves < 1 || r.BinSolves < 1 {
+		if r.LinearSolves < 1 {
 			t.Errorf("solve counts missing: %+v", r)
 		}
 		if r.LinearSolves > r.PaperSolves {
 			t.Errorf("bounded ascent slower than the paper's +1 ascent: %+v", r)
 		}
 	}
-	if !strings.Contains(RenderDeltaSearch(rows), "delta") {
+	if !strings.Contains(RenderDelta(rows), "delta") {
 		t.Error("render malformed")
 	}
 }

@@ -42,7 +42,7 @@ func AblationJointGap(instances int, seed int64) (*JointGapResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := routing.BalancedPaths(ji.G, ji.Head, ji.Demand, routing.BinarySearch)
+		plan, err := routing.BalancedPaths(ji.G, ji.Head, ji.Demand)
 		if err != nil {
 			return nil, err
 		}

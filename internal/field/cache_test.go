@@ -80,8 +80,8 @@ func TestPlanCacheHitAfterQuietEpoch(t *testing.T) {
 }
 
 // TestPlanCacheInvalidation pins the churn contract: a rebuild that
-// changes the connectivity graph (MarkFailed of a connected sensor) bumps
-// the cluster's revision, so the next epoch re-plans that cluster while
+// changes the connectivity graph (killing a connected sensor) bumps the
+// cluster's revision, so the next epoch re-plans that cluster while
 // the untouched clusters keep hitting — and a refresh that flips nothing
 // keeps both the revision and the cached plan.
 func TestPlanCacheInvalidation(t *testing.T) {
@@ -104,8 +104,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// MarkFailed between epochs: target misses again, everyone else hits.
-	rt.clusters[target].MarkFailed(1)
+	// MarkFailedBatch between epochs: target misses again, everyone else hits.
+	rt.clusters[target].MarkFailedBatch([]int{1})
 	rt.dead[target][1] = true
 	if _, err := rt.RunEpoch(o); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			wantMisses, wantHits = 2, 0
 		}
 		if pc.Misses != wantMisses || pc.Hits != wantHits {
-			t.Fatalf("cluster %d after MarkFailed epoch: hits=%d misses=%d, want %d/%d",
+			t.Fatalf("cluster %d after MarkFailedBatch epoch: hits=%d misses=%d, want %d/%d",
 				k, pc.Hits, pc.Misses, wantHits, wantMisses)
 		}
 	}
@@ -142,7 +142,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 
 	// A refresh that actually changes connectivity (another failure) must
 	// still invalidate.
-	rt.clusters[target].MarkFailed(2)
+	rt.clusters[target].MarkFailedBatch([]int{2})
 	rt.dead[target][2] = true
 	if _, err := rt.RunEpoch(o); err != nil {
 		t.Fatal(err)

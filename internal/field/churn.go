@@ -79,8 +79,8 @@ func (rt *Runtime) faultChurnCluster(epoch, k int, deaths *[]Death) bool {
 // syncDeaths brings cluster k's topology up to its dead book: every
 // sensor the book marks dead but the medium still powers (a live
 // sensor's transmit power is never zero) is taken out in one
-// topo.Cluster.MarkFailedBatch, equal to sequential MarkFailed in any
-// order. It is the only place a death reaches a topology: the churn
+// topo.Cluster.MarkFailedBatch, equal to killing them one at a time in
+// any order. It is the only place a death reaches a topology: the churn
 // calls it after marking the book, and runCluster calls it before the
 // cluster runs, which catches up deaths that merge, adoption or Resume
 // wrote to the book alone.

@@ -66,28 +66,8 @@ func BenchmarkMaxFlowClusterSized(b *testing.B) {
 			f.MaxFlowEdmondsKarp(0, n-1)
 		}
 	})
-	// The delta-search probe pattern: restore the flow snapshot from the
-	// last infeasible delta, raise the source-arc capacities and continue
-	// augmenting instead of re-solving from scratch. Zero allocations
-	// once scratch is warm.
-	b.Run("warm-resolve", func(b *testing.B) {
-		f := buildBench(n, edges)
-		f.MaxFlow(0, n-1)
-		base := f.SaveFlow(nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.RestoreFlow(base)
-			for j, e := range edges {
-				if e.u == 0 {
-					f.SetCapacity(2*j, e.c+2)
-				}
-			}
-			f.MaxFlow(0, n-1)
-		}
-	})
-	// The same probe done the pre-overhaul way: discard the flow and
-	// re-solve from zero at the raised capacities.
+	// A probe at raised capacities solved from zero flow, as the
+	// routing planner's canonical solve does.
 	b.Run("cold-resolve", func(b *testing.B) {
 		f := buildBench(n, edges)
 		b.ReportAllocs()

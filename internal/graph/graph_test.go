@@ -87,47 +87,6 @@ func TestBFSTree(t *testing.T) {
 	}
 }
 
-func TestConnectedAndComponents(t *testing.T) {
-	g := NewUndirected(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	if g.Connected() {
-		t.Error("graph should be disconnected")
-	}
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v", comps)
-	}
-	wantSizes := []int{2, 3, 1}
-	for i, c := range comps {
-		if len(c) != wantSizes[i] {
-			t.Errorf("component %d = %v", i, c)
-		}
-	}
-	g.AddEdge(1, 2)
-	g.AddEdge(4, 5)
-	if !g.Connected() {
-		t.Error("graph should now be connected")
-	}
-	if NewUndirected(0).Connected() != true {
-		t.Error("empty graph should count as connected")
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := NewUndirected(3)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Error("Clone not independent")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Error("Clone missing original edge")
-	}
-}
-
 func TestBFSLevelsRandomTriangleInequality(t *testing.T) {
 	// For every edge {u,v}: |level(u)-level(v)| <= 1 on connected graphs.
 	rng := rand.New(rand.NewSource(11))
@@ -159,68 +118,4 @@ func randomConnected(rng *rand.Rand, n int, p float64) *Undirected {
 		}
 	}
 	return g
-}
-
-// Clone returns a deep copy of g.
-func (g *Undirected) Clone() *Undirected {
-	c := NewUndirected(g.n)
-	for u := 0; u < g.n; u++ {
-		c.adj[u] = append([]int(nil), g.adj[u]...)
-	}
-	return c
-}
-
-// Connected reports whether every vertex is reachable from vertex 0
-// (vacuously true for the empty graph).
-func (g *Undirected) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	for _, l := range g.BFSLevels(0) {
-		if l < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Components returns the connected components as vertex-id slices, each
-// sorted ascending, ordered by their smallest vertex.
-func (g *Undirected) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	for _, c := range comps {
-		sortInts(c)
-	}
-	return comps
-}
-
-// sortInts is a tiny insertion sort: component slices are small and this
-// avoids pulling in package sort for a single call site.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

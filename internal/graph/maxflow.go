@@ -120,25 +120,6 @@ func (f *FlowNetwork) Reuse(n int) {
 	f.augments = 0
 }
 
-// SaveFlow appends a copy of the current flow state to dst (reusing its
-// backing array when large enough) and returns it. Together with
-// RestoreFlow it lets the routing binary search warm-start probes from the
-// flow of a lower node capacity instead of re-solving from zero.
-func (f *FlowNetwork) SaveFlow(dst []int64) []int64 {
-	dst = append(dst[:0], f.flow...)
-	return dst
-}
-
-// RestoreFlow overwrites the flow state with a snapshot taken by SaveFlow.
-// The snapshot must respect current capacities (guaranteed when capacities
-// were only raised since the save).
-func (f *FlowNetwork) RestoreFlow(src []int64) {
-	if len(src) != len(f.flow) {
-		panic(fmt.Sprintf("graph: flow snapshot has %d entries for %d edges", len(src), len(f.flow)))
-	}
-	copy(f.flow, src)
-}
-
 // EdgeFlow returns the current flow on edge id.
 func (f *FlowNetwork) EdgeFlow(id int) int64 {
 	if id < 0 || id >= len(f.flow) || id%2 != 0 {

@@ -249,52 +249,3 @@ func TestMaxFlowWarmResolve(t *testing.T) {
 		}
 	}
 }
-
-// TestSaveRestoreFlow pins the snapshot helpers the binary search probes
-// use: restoring a saved flow reproduces the exact edge flows, and
-// augmenting after a restore matches augmenting from the original state.
-func TestSaveRestoreFlow(t *testing.T) {
-	f := NewFlowNetwork(4)
-	e0 := f.AddEdge(0, 1, 2)
-	f.AddEdge(1, 3, 2)
-	e2 := f.AddEdge(0, 2, 1)
-	f.AddEdge(2, 3, 1)
-	if got := f.MaxFlow(0, 3); got != 3 {
-		t.Fatalf("solve = %d", got)
-	}
-	snap := f.SaveFlow(nil)
-	f.SetCapacity(e0, 5)
-	f.SetCapacity(e2, 5)
-	f.MaxFlow(0, 3)
-	f.RestoreFlow(snap)
-	if f.EdgeFlow(e0) != 2 || f.EdgeFlow(e2) != 1 {
-		t.Fatalf("restored flows = %d, %d", f.EdgeFlow(e0), f.EdgeFlow(e2))
-	}
-	mustPanic(t, func() { f.RestoreFlow(snap[:2]) })
-}
-
-func TestOutEdges(t *testing.T) {
-	f := NewFlowNetwork(3)
-	e0 := f.AddEdge(0, 1, 1)
-	e1 := f.AddEdge(0, 2, 1)
-	out := f.OutEdges(0)
-	if len(out) != 2 || out[0] != e0 || out[1] != e1 {
-		t.Fatalf("OutEdges = %v", out)
-	}
-	if len(f.OutEdges(1)) != 0 {
-		t.Fatalf("vertex 1 should have no forward out-edges")
-	}
-}
-
-// OutEdges returns the ids of the forward (even) edges leaving u, in
-// insertion order.
-func (f *FlowNetwork) OutEdges(u int) []int {
-	f.check(u)
-	var out []int
-	for _, e := range f.first[u] {
-		if e%2 == 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -173,11 +173,12 @@ type metric struct {
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
-	// order caches the family-then-labels sorted metric list Snapshot
-	// and Each iterate; registration of a new series invalidates it.
-	// Once built it is never mutated (replaced wholesale), so iterators
-	// may keep a reference without holding mu.
-	order []*metric
+	// order caches copies of the series, sorted family then labels, that
+	// Snapshot and Each iterate. A registration that adds a series or
+	// brings one its first help invalidates it. Once built it is never
+	// mutated (replaced wholesale), so iterators may keep it without
+	// holding mu and read no field a registration writes.
+	order []metric
 }
 
 // NewRegistry returns an empty registry.
@@ -200,6 +201,15 @@ func (r *Registry) lookup(name string, kind Kind) *metric {
 	return m
 }
 
+// setHelp keeps the first non-empty help of m. Scrapes read help from
+// the sorted copies, so a change invalidates them.
+func (r *Registry) setHelp(m *metric, help string) {
+	if m.help == "" && help != "" {
+		m.help = help
+		r.order = nil
+	}
+}
+
 // Counter returns the counter registered under name, creating it on first
 // use. help is kept from the first non-empty value. Requesting an existing
 // series as a different kind panics.
@@ -210,9 +220,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if m.c == nil {
 		m.c = &Counter{}
 	}
-	if m.help == "" {
-		m.help = help
-	}
+	r.setHelp(m, help)
 	return m.c
 }
 
@@ -224,9 +232,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if m.g == nil {
 		m.g = &Gauge{}
 	}
-	if m.help == "" {
-		m.help = help
-	}
+	r.setHelp(m, help)
 	return m.g
 }
 
@@ -251,9 +257,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		}
 		m.h = &Histogram{bounds: uniq, counts: make([]atomic.Uint64, len(uniq)+1)}
 	}
-	if m.help == "" {
-		m.help = help
-	}
+	r.setHelp(m, help)
 	return m.h
 }
 
@@ -274,15 +278,16 @@ type MetricSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"` // histogram, cumulative
 }
 
-// sorted returns the cached family-then-labels metric order, rebuilding
-// it if registration invalidated it. The returned slice is immutable.
-func (r *Registry) sorted() []*metric {
+// sorted returns the cached family-then-labels copies of the series,
+// rebuilding them if registration invalidated them. The returned slice
+// is immutable.
+func (r *Registry) sorted() []metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.order == nil {
-		ms := make([]*metric, 0, len(r.metrics))
+		ms := make([]metric, 0, len(r.metrics))
 		for _, m := range r.metrics {
-			ms = append(ms, m)
+			ms = append(ms, *m)
 		}
 		sort.Slice(ms, func(i, j int) bool {
 			if ms[i].family != ms[j].family {
@@ -304,7 +309,9 @@ func (r *Registry) sorted() []*metric {
 // retain bucket data must copy it before returning.
 func (r *Registry) Each(fn func(MetricSnapshot)) {
 	var scratch []Bucket
-	for _, m := range r.sorted() {
+	order := r.sorted()
+	for i := range order {
+		m := &order[i]
 		s := MetricSnapshot{Name: m.name, Kind: m.kind, Help: m.help}
 		switch m.kind {
 		case KindCounter:

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,5 +94,64 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	wantHist := fmt.Sprintf("svc_op_seconds_count %d\n", writers*iterations)
 	if !bytes.Contains(buf.Bytes(), []byte(wantHist)) {
 		t.Fatalf("final exposition missing %q", wantHist)
+	}
+}
+
+// TestScrapeWhileHelpArrives races scrapes against registrations that
+// bring an existing series its first non-empty help. A scrape must read
+// nothing such a registration writes, and the first non-empty help must
+// still win.
+func TestScrapeWhileHelpArrives(t *testing.T) {
+	reg := NewRegistry()
+	const series = 300
+	name := func(family string, i int) string { return Series(family, "i", fmt.Sprint(i)) }
+	for i := 0; i < series; i++ {
+		reg.Counter(name("late_help_total", i), "")
+		reg.Gauge(name("late_help_gauge", i), "")
+		reg.Histogram(name("late_help_seconds", i), "", nil)
+	}
+	// The help arrives in waves, each after one more scrape has finished,
+	// so most waves land while a scrape walks the series.
+	const wave = 15
+	var scrapes atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < series; i++ {
+			if i%wave == 0 {
+				for seen := scrapes.Load(); scrapes.Load() == seen; {
+					runtime.Gosched()
+				}
+			}
+			reg.Counter(name("late_help_total", i), "first counter help")
+			reg.Gauge(name("late_help_gauge", i), "first gauge help")
+			reg.Histogram(name("late_help_seconds", i), "first histogram help", nil)
+			reg.Counter(name("late_help_total", i), "second counter help")
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		// Keep scraping after an error: the writer waits for scrapes.
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Error(err)
+		}
+		scrapes.Add(1)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP late_help_total first counter help\n",
+		"# HELP late_help_gauge first gauge help\n",
+		"# HELP late_help_seconds first histogram help\n",
+	} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Fatalf("exposition missing %q", want)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func BenchmarkMediumRefresh10k(b *testing.B) {
 }
 
 // BenchmarkMediumSetTxPower10k measures one node's row rebuild on a
-// 10k-node medium — the MarkFailed/power-change path, O(neighborhood).
+// 10k-node medium — the MarkFailedBatch/power-change path, O(neighborhood).
 func BenchmarkMediumSetTxPower10k(b *testing.B) {
 	m, _ := benchLargeMedium(b)
 	p := m.TxPower(1)

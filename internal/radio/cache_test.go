@@ -95,7 +95,7 @@ func TestCachedPowerMatchesReference(t *testing.T) {
 			}
 			check("fresh")
 			// Invalidate: change random nodes' powers (including to zero,
-			// the MarkFailed path) and re-verify the whole matrix.
+			// the MarkFailedBatch path) and re-verify the whole matrix.
 			for k := 0; k < 5; k++ {
 				v := rng.Intn(n)
 				if rng.Intn(3) == 0 {

@@ -51,7 +51,7 @@ func TestSparseMediumAcrossShadowRevisionsAndFailures(t *testing.T) {
 			ld.ShadowDB = HashShadow(seed*100+rev, 4)
 			m.Refresh()
 			checkAllPairs(t, m, "shadow rev")
-			// A failure (the MarkFailed path) between revisions.
+			// A failure (the MarkFailedBatch path) between revisions.
 			m.SetTxPower(rng.Intn(n), 0)
 			checkAllPairs(t, m, "after failure")
 		}

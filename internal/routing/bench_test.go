@@ -23,7 +23,7 @@ func BenchmarkBalancedPaths30(b *testing.B) {
 	c, demand := benchSetup(b, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BalancedPaths(c.G, topo.Head, demand, BinarySearch); err != nil {
+		if _, err := BalancedPaths(c.G, topo.Head, demand); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkBalancedPaths80(b *testing.B) {
 	c, demand := benchSetup(b, 80)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BalancedPaths(c.G, topo.Head, demand, BinarySearch); err != nil {
+		if _, err := BalancedPaths(c.G, topo.Head, demand); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func BenchmarkBalancedPaths200(b *testing.B) {
 	c, demand := benchSetup(b, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BalancedPaths(c.G, topo.Head, demand, BinarySearch); err != nil {
+		if _, err := BalancedPaths(c.G, topo.Head, demand); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func BenchmarkBalancedPaths200(b *testing.B) {
 
 func BenchmarkCycleRoutes(b *testing.B) {
 	c, demand := benchSetup(b, 50)
-	plan, err := BalancedPaths(c.G, topo.Head, demand, BinarySearch)
+	plan, err := BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		b.Fatal(err)
 	}

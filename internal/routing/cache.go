@@ -1,11 +1,11 @@
 package routing
 
 // PlanCache memoizes the last BalancedPaths result for one cluster, keyed
-// by (connectivity revision, demand fingerprint, search strategy). The
-// field runtime rebuilds every cluster's runner at each epoch boundary;
-// when neither the topology nor the demand changed, the plan is a pure
-// function of those inputs and re-solving the flow network is pure waste —
-// the cache hands the previous *Plan back instead.
+// by (connectivity revision, demand fingerprint). The field runtime
+// rebuilds every cluster's runner at each epoch boundary; when neither the
+// topology nor the demand changed, the plan is a pure function of those
+// inputs and re-solving the flow network is pure waste — the cache hands
+// the previous *Plan back instead.
 //
 // One slot suffices: a cluster's inputs evolve monotonically (churn bumps
 // the revision, demand shifts with the cycle parameters), so only the most
@@ -15,11 +15,10 @@ package routing
 // A PlanCache is not safe for concurrent use; the field runtime keeps one
 // per cluster, and a cluster only ever runs on one shard worker at a time.
 type PlanCache struct {
-	valid  bool
-	rev    uint64
-	fp     uint64
-	search DeltaSearch
-	plan   *Plan
+	valid bool
+	rev   uint64
+	fp    uint64
+	plan  *Plan
 
 	// Hits and Misses count Lookup outcomes; the field runtime surfaces
 	// them as field_plan_cache_hits_total / field_plan_cache_misses_total.
@@ -45,13 +44,9 @@ func FingerprintDemand(demand []int) uint64 {
 }
 
 // Lookup returns the cached plan when it was computed for exactly this
-// (revision, demand, search) key, and nil on a miss. A nil receiver always
-// misses without counting.
-func (pc *PlanCache) Lookup(rev uint64, demand []int, search DeltaSearch) *Plan {
-	if pc == nil {
-		return nil
-	}
-	if pc.valid && pc.rev == rev && pc.search == search && pc.fp == FingerprintDemand(demand) {
+// (revision, demand) key, and nil on a miss.
+func (pc *PlanCache) Lookup(rev uint64, demand []int) *Plan {
+	if pc.valid && pc.rev == rev && pc.fp == FingerprintDemand(demand) {
 		pc.Hits++
 		return pc.plan
 	}
@@ -60,14 +55,9 @@ func (pc *PlanCache) Lookup(rev uint64, demand []int, search DeltaSearch) *Plan 
 }
 
 // Store records the plan for the given key, replacing any previous entry.
-// A nil receiver is a no-op.
-func (pc *PlanCache) Store(rev uint64, demand []int, search DeltaSearch, plan *Plan) {
-	if pc == nil {
-		return
-	}
+func (pc *PlanCache) Store(rev uint64, demand []int, plan *Plan) {
 	pc.valid = true
 	pc.rev = rev
 	pc.fp = FingerprintDemand(demand)
-	pc.search = search
 	pc.plan = plan
 }

@@ -17,7 +17,7 @@ func ExampleBalancedPaths() {
 	g.AddEdge(1, 3) // S1 - S3
 	g.AddEdge(2, 3) // S2 - S3
 	demand := []int{0, 1, 1, 2}
-	plan, err := routing.BalancedPaths(g, 0, demand, routing.LinearSearch)
+	plan, err := routing.BalancedPaths(g, 0, demand)
 	if err != nil {
 		panic(err)
 	}
@@ -36,7 +36,7 @@ func ExamplePlan_CycleRoutes() {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
-	plan, err := routing.BalancedPaths(g, 0, []int{0, 1, 1, 2}, routing.LinearSearch)
+	plan, err := routing.BalancedPaths(g, 0, []int{0, 1, 1, 2})
 	if err != nil {
 		panic(err)
 	}

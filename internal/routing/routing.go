@@ -13,26 +13,13 @@
 // This package runs the same ascent with two provably lossless shortcuts:
 // it starts at a layer-cut lower bound instead of the largest demand, and
 // each infeasible solve jumps delta by the step its min cut proves
-// necessary instead of by one. A binary-search variant is provided as an
-// ablation.
+// necessary instead of by one.
 package routing
 
 import (
 	"fmt"
 
 	"repro/internal/graph"
-)
-
-// DeltaSearch selects how the minimum feasible node capacity is located.
-type DeltaSearch int
-
-const (
-	// LinearSearch ascends from the layer-cut lower bound, the strategy
-	// described in the paper, jumping by the min-cut step rather than
-	// by one.
-	LinearSearch DeltaSearch = iota
-	// BinarySearch bisects between the lower bound and total demand.
-	BinarySearch
 )
 
 // WeightedPath is one relaying path carrying an integral number of packets
@@ -56,10 +43,10 @@ type Plan struct {
 	// demand. Sensors with zero demand have no entry.
 	Paths map[int][]WeightedPath
 	// Solves counts the max-flow solver invocations used by the delta
-	// search, recorded for the linear-vs-binary ablation. The search
-	// starts at the layer-cut lower bound and jumps by the min-cut step,
-	// and most invocations continue augmenting an already partially
-	// solved network, so one "solve" is far cheaper than a cold max-flow.
+	// search, recorded for the delta ablation. The search starts at the
+	// layer-cut lower bound and jumps by the min-cut step, and most
+	// invocations continue augmenting an already partially solved
+	// network, so one "solve" is far cheaper than a cold max-flow.
 	// The count includes the final canonical solve that produces the
 	// decomposed flow; a count of 1 means the first solve, at the bound,
 	// was feasible and was reused as that canonical solve (see
@@ -72,17 +59,16 @@ type Plan struct {
 
 // BalancedPaths computes load-balanced relaying paths on the connectivity
 // graph g toward head. demand[v] is the number of packets sensor v must
-// deliver per duty cycle (demand[head] must be 0). The search strategy
-// picks how delta is located; both return identical Delta values.
-func BalancedPaths(g *graph.Undirected, head int, demand []int, search DeltaSearch) (*Plan, error) {
-	return BalancedPathsWS(nil, g, head, demand, search)
+// deliver per duty cycle (demand[head] must be 0).
+func BalancedPaths(g *graph.Undirected, head int, demand []int) (*Plan, error) {
+	return BalancedPathsWS(nil, g, head, demand)
 }
 
 // BalancedPathsWS is BalancedPaths with a reusable Workspace; a nil
 // workspace is replaced by a zero-value one private to the call. The
 // returned plan is independent of the workspace and may outlive it — plan
 // caches retain plans across epochs while the workspace is recycled.
-func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int, search DeltaSearch) (*Plan, error) {
+func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int) (*Plan, error) {
 	if len(demand) != g.N() {
 		return nil, fmt.Errorf("routing: demand has %d entries for %d nodes", len(demand), g.N())
 	}
@@ -129,64 +115,29 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int,
 	// canonical solve below would rebuild when delta stays at the bound.
 	flowVal := solve()
 	canonical := flowVal == int64(total)
-	switch search {
-	case LinearSearch:
-		// Warm delta-ascent, the paper's "start with a small delta ...
-		// then increment", with the increment taken from the min cut of
-		// the last solve instead of +1: every delta skipped is provably
-		// infeasible, so the ascent still stops at the optimum.
-		for flowVal < int64(total) {
-			next, err := nw.cutTarget(delta, flowVal, total)
-			if err != nil {
-				return nil, err
-			}
-			delta = next
-			nw.setDelta(int64(delta))
-			flowVal += solve()
+	// Warm delta-ascent, the paper's "start with a small delta ... then
+	// increment", with the increment taken from the min cut of the last
+	// solve instead of +1: every delta skipped is provably infeasible, so
+	// the ascent still stops at the optimum.
+	for flowVal < int64(total) {
+		next, err := nw.cutTarget(delta, flowVal, total)
+		if err != nil {
+			return nil, err
 		}
-	case BinarySearch:
-		if flowVal < int64(total) {
-			lo, err := nw.cutTarget(delta, flowVal, total)
-			if err != nil {
-				return nil, err
-			}
-			// Warm-start every probe from the flow at the largest delta
-			// known infeasible: that flow respects the (larger) probe
-			// capacities, so only the missing flow is augmented.
-			base := nw.fn.SaveFlow(ws.base)
-			baseVal := flowVal
-			for hi := total; lo < hi; {
-				mid := (lo + hi) / 2
-				nw.setDelta(int64(mid))
-				nw.fn.RestoreFlow(base)
-				pushed := solve()
-				if baseVal+pushed == int64(total) {
-					hi = mid
-					continue
-				}
-				base = nw.fn.SaveFlow(base)
-				baseVal += pushed
-				if lo, err = nw.cutTarget(mid, baseVal, total); err != nil {
-					return nil, err
-				}
-			}
-			delta = lo
-			ws.base = base
-		}
-	default:
-		return nil, fmt.Errorf("routing: unknown search strategy %d", search)
+		delta = next
+		nw.setDelta(int64(delta))
+		flowVal += solve()
 	}
 
 	// Canonical decomposition solve: one cold max-flow at the final delta.
 	// The warm probes above establish feasibility cheaply, but their flow
 	// depends on the probe history; re-solving from zero makes the
-	// decomposed paths a pure function of (g, head, demand, delta) —
-	// identical across search strategies and identical to a cold solve at
-	// the optimum. When the first solve was already feasible it was that
-	// cold solve, so it is reused rather than repeated.
+	// decomposed paths a pure function of (g, head, demand, delta), equal
+	// to a cold solve at the optimum. When the first solve was already
+	// feasible it was that cold solve, so it is reused rather than
+	// repeated.
 	if !canonical {
-		nw.setDelta(int64(delta))
-		nw.fn.Reset()
+		nw.fn.Reset() // the ascent left every node arc at delta
 		if solve() != int64(total) {
 			return nil, fmt.Errorf("routing: no feasible delta up to total demand %d", total)
 		}

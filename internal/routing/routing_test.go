@@ -29,7 +29,7 @@ func unitDemand(n int) []int {
 func TestBalancedPathsLine(t *testing.T) {
 	// On a line every packet must pass through sensor 1: delta = n.
 	g := lineCluster(4)
-	plan, err := BalancedPaths(g, 0, unitDemand(4), LinearSearch)
+	plan, err := BalancedPaths(g, 0, unitDemand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBalancedPathsParallelBranches(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
-	plan, err := BalancedPaths(g, 0, []int{0, 1, 1, 1}, LinearSearch)
+	plan, err := BalancedPaths(g, 0, []int{0, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBalancedPathsSplitsFlow(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
-	plan, err := BalancedPaths(g, 0, []int{0, 1, 1, 2}, LinearSearch)
+	plan, err := BalancedPaths(g, 0, []int{0, 1, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,38 +105,6 @@ func TestBalancedPathsSplitsFlow(t *testing.T) {
 	}
 }
 
-func TestBinaryAndLinearAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(10)
-		g := graph.NewUndirected(n + 1)
-		// Random connected sensor graph with a couple of head links.
-		for v := 1; v <= n; v++ {
-			if v == 1 || rng.Float64() < 0.3 {
-				g.AddEdge(0, v)
-			}
-			if v > 1 {
-				g.AddEdge(v, 1+rng.Intn(v-1))
-			}
-		}
-		demand := make([]int, n+1)
-		for v := 1; v <= n; v++ {
-			demand[v] = rng.Intn(4)
-		}
-		lin, err := BalancedPaths(g, 0, demand, LinearSearch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bin, err := BalancedPaths(g, 0, demand, BinarySearch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lin.Delta != bin.Delta {
-			t.Fatalf("trial %d: linear delta %d != binary %d", trial, lin.Delta, bin.Delta)
-		}
-	}
-}
-
 func TestPlanInvariantsOnRealClusters(t *testing.T) {
 	for _, n := range []int{10, 30, 50} {
 		c, err := topo.Build(topo.DefaultConfig(n, int64(n)))
@@ -148,7 +116,7 @@ func TestPlanInvariantsOnRealClusters(t *testing.T) {
 		for v := 1; v <= n; v++ {
 			demand[v] = 1 + rng.Intn(3)
 		}
-		plan, err := BalancedPaths(c.G, topo.Head, demand, LinearSearch)
+		plan, err := BalancedPaths(c.G, topo.Head, demand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +164,7 @@ func TestDeltaIsOptimalOnSmallClusters(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(1, 4)
 	demand := []int{0, 1, 1, 1, 1}
-	plan, err := BalancedPaths(g, 0, demand, LinearSearch)
+	plan, err := BalancedPaths(g, 0, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,32 +196,29 @@ func TestDeltaIsOptimalOnSmallClusters(t *testing.T) {
 
 func TestBalancedPathsErrors(t *testing.T) {
 	g := lineCluster(2)
-	if _, err := BalancedPaths(g, 0, []int{0, 1}, LinearSearch); err == nil {
+	if _, err := BalancedPaths(g, 0, []int{0, 1}); err == nil {
 		t.Error("short demand slice should error")
 	}
-	if _, err := BalancedPaths(g, 9, unitDemand(2), LinearSearch); err == nil {
+	if _, err := BalancedPaths(g, 9, unitDemand(2)); err == nil {
 		t.Error("bad head should error")
 	}
-	if _, err := BalancedPaths(g, 0, []int{1, 0, 0}, LinearSearch); err == nil {
+	if _, err := BalancedPaths(g, 0, []int{1, 0, 0}); err == nil {
 		t.Error("head demand should error")
 	}
-	if _, err := BalancedPaths(g, 0, []int{0, -1, 0}, LinearSearch); err == nil {
+	if _, err := BalancedPaths(g, 0, []int{0, -1, 0}); err == nil {
 		t.Error("negative demand should error")
-	}
-	if _, err := BalancedPaths(g, 0, unitDemand(2), DeltaSearch(9)); err == nil {
-		t.Error("unknown strategy should error")
 	}
 	// Disconnected sensor with demand.
 	g2 := graph.NewUndirected(3)
 	g2.AddEdge(0, 1)
-	if _, err := BalancedPaths(g2, 0, []int{0, 0, 1}, LinearSearch); err == nil {
+	if _, err := BalancedPaths(g2, 0, []int{0, 0, 1}); err == nil {
 		t.Error("unreachable demand should error")
 	}
 }
 
 func TestZeroDemandPlan(t *testing.T) {
 	g := lineCluster(3)
-	plan, err := BalancedPaths(g, 0, make([]int, 4), LinearSearch)
+	plan, err := BalancedPaths(g, 0, make([]int, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,30 +230,20 @@ func TestZeroDemandPlan(t *testing.T) {
 	}
 }
 
-func TestBinarySearchUsesFewerSolves(t *testing.T) {
+func TestLineTakesOneSolve(t *testing.T) {
 	// On a line every packet crosses sensor 1, so the layer-cut bound is
 	// already the optimum: the first solve at the bound is feasible and is
-	// itself the canonical solve, so linear search takes exactly one. The
-	// binary search starts at the same bound, so it can use no fewer.
+	// itself the canonical solve, so the search takes exactly one.
 	n := 24
-	g := lineCluster(n)
-	lin, err := BalancedPaths(g, 0, unitDemand(n), LinearSearch)
+	plan, err := BalancedPaths(lineCluster(n), 0, unitDemand(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := BalancedPaths(g, 0, unitDemand(n), BinarySearch)
-	if err != nil {
-		t.Fatal(err)
+	if plan.Delta != n {
+		t.Fatalf("delta %d, want %d", plan.Delta, n)
 	}
-	if lin.Delta != n || bin.Delta != n {
-		t.Fatalf("delta linear %d binary %d, want %d", lin.Delta, bin.Delta, n)
-	}
-	if lin.Solves != 1 {
-		t.Fatalf("linear took %d solves on a line, want 1 (bound is exact)", lin.Solves)
-	}
-	if lin.Solves > bin.Solves {
-		t.Fatalf("linear %d solves vs binary %d: binary cannot beat an exact bound",
-			lin.Solves, bin.Solves)
+	if plan.Solves != 1 {
+		t.Fatalf("%d solves on a line, want 1 (bound is exact)", plan.Solves)
 	}
 }
 
@@ -339,10 +294,9 @@ func samePaths(a, b map[int][]WeightedPath) bool {
 }
 
 // TestWarmSearchMatchesColdSolve is the warm-start equivalence property:
-// on random cluster topologies, the warm-started linear and binary
-// searches must agree with each other and with a cold solve — a network
-// built directly at the optimal delta and solved from zero flow — on both
-// Delta and the decomposed paths, byte for byte.
+// on random cluster topologies, the warm-started search must agree with a
+// cold solve — a network built directly at the optimal delta and solved
+// from zero flow — on both Delta and the decomposed paths, byte for byte.
 func TestWarmSearchMatchesColdSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(733))
 	for trial := 0; trial < 120; trial++ {
@@ -354,81 +308,62 @@ func TestWarmSearchMatchesColdSolve(t *testing.T) {
 		if total == 0 {
 			continue
 		}
-		lin, err := BalancedPaths(g, 0, demand, LinearSearch)
+		plan, err := BalancedPaths(g, 0, demand)
 		if err != nil {
 			t.Fatal(err)
-		}
-		bin, err := BalancedPaths(g, 0, demand, BinarySearch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lin.Delta != bin.Delta {
-			t.Fatalf("trial %d: linear delta %d != binary %d", trial, lin.Delta, bin.Delta)
-		}
-		if !samePaths(lin.Paths, bin.Paths) {
-			t.Fatalf("trial %d: linear and binary paths differ:\n%v\nvs\n%v", trial, lin.Paths, bin.Paths)
 		}
 		// Cold reference: a fresh network at the found delta, solved from
 		// zero flow, decomposed the same way.
-		nw := buildNetwork(new(Workspace), g, 0, demand, int64(lin.Delta))
+		nw := buildNetwork(new(Workspace), g, 0, demand, int64(plan.Delta))
 		if got := nw.fn.MaxFlow(nw.src, nw.sink); got != int64(total) {
-			t.Fatalf("trial %d: cold solve at delta %d pushed %d of %d", trial, lin.Delta, got, total)
+			t.Fatalf("trial %d: cold solve at delta %d pushed %d of %d", trial, plan.Delta, got, total)
 		}
 		cold, err := nw.decompose(new(Workspace), demand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !samePaths(lin.Paths, cold) {
-			t.Fatalf("trial %d: warm paths differ from cold solve:\n%v\nvs\n%v", trial, lin.Paths, cold)
+		if !samePaths(plan.Paths, cold) {
+			t.Fatalf("trial %d: warm paths differ from cold solve:\n%v\nvs\n%v", trial, plan.Paths, cold)
 		}
 		// Delta minimality: the cold network at delta-1 must not satisfy
 		// the demand (delta is the smallest feasible node capacity).
-		if lin.Delta > 0 {
-			low := buildNetwork(new(Workspace), g, 0, demand, int64(lin.Delta-1))
+		if plan.Delta > 0 {
+			low := buildNetwork(new(Workspace), g, 0, demand, int64(plan.Delta-1))
 			if low.fn.MaxFlow(low.src, low.sink) == int64(total) {
-				t.Fatalf("trial %d: delta %d is not minimal", trial, lin.Delta)
+				t.Fatalf("trial %d: delta %d is not minimal", trial, plan.Delta)
 			}
 		}
 	}
 }
 
-// TestPlanCache pins the memoization contract: same (rev, demand, search)
-// hits and returns the identical *Plan; any component changing misses.
+// TestPlanCache pins the memoization contract: same (rev, demand) hits
+// and returns the identical *Plan; any component changing misses.
 func TestPlanCache(t *testing.T) {
 	g := lineCluster(4)
 	demand := unitDemand(4)
-	plan, err := BalancedPaths(g, 0, demand, LinearSearch)
+	plan, err := BalancedPaths(g, 0, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pc PlanCache
-	if got := pc.Lookup(7, demand, LinearSearch); got != nil {
+	if got := pc.Lookup(7, demand); got != nil {
 		t.Fatal("empty cache should miss")
 	}
-	pc.Store(7, demand, LinearSearch, plan)
-	if got := pc.Lookup(7, demand, LinearSearch); got != plan {
+	pc.Store(7, demand, plan)
+	if got := pc.Lookup(7, demand); got != plan {
 		t.Fatal("cache should return the stored plan")
 	}
-	if got := pc.Lookup(8, demand, LinearSearch); got != nil {
+	if got := pc.Lookup(8, demand); got != nil {
 		t.Fatal("revision change should miss")
-	}
-	if got := pc.Lookup(7, demand, BinarySearch); got != nil {
-		t.Fatal("search change should miss")
 	}
 	d2 := append([]int(nil), demand...)
 	d2[2]++
-	if got := pc.Lookup(7, d2, LinearSearch); got != nil {
+	if got := pc.Lookup(7, d2); got != nil {
 		t.Fatal("demand change should miss")
 	}
-	if pc.Hits != 1 || pc.Misses != 4 {
-		t.Fatalf("hits/misses = %d/%d, want 1/4", pc.Hits, pc.Misses)
+	if pc.Hits != 1 || pc.Misses != 3 {
+		t.Fatalf("hits/misses = %d/%d, want 1/3", pc.Hits, pc.Misses)
 	}
-	// Nil receiver: silent miss, no counting, Store a no-op.
-	var nilPC *PlanCache
-	if got := nilPC.Lookup(7, demand, LinearSearch); got != nil {
-		t.Fatal("nil cache should miss")
-	}
-	nilPC.Store(7, demand, LinearSearch, plan)
 }
 
 func TestLoadsValidation(t *testing.T) {
@@ -467,7 +402,7 @@ func TestDependentTable(t *testing.T) {
 
 func TestCycleRoutesNegativeCycle(t *testing.T) {
 	g := lineCluster(2)
-	plan, err := BalancedPaths(g, 0, unitDemand(2), LinearSearch)
+	plan, err := BalancedPaths(g, 0, unitDemand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,12 +471,12 @@ func deltaSearchCases(t *testing.T) (gs []*graph.Undirected, demands [][]int) {
 	return gs, demands
 }
 
-// TestDeltaSearchMatchesPaperAscent pins the bounded search against the
-// paper's +1 ascent: the layer bound and every min-cut jump target stay
-// at or below the optimum, both searches find the paper's delta, and
-// their paths equal a cold solve at it — also when the search reused its
+// TestBoundedAscentMatchesPaperAscent pins the bounded search against
+// the paper's +1 ascent: the layer bound and every min-cut jump target
+// stay at or below the optimum, the search finds the paper's delta, and
+// its paths equal a cold solve at it — also when the search reused its
 // first solve as the canonical one.
-func TestDeltaSearchMatchesPaperAscent(t *testing.T) {
+func TestBoundedAscentMatchesPaperAscent(t *testing.T) {
 	gs, demands := deltaSearchCases(t)
 	reused, resolved := 0, 0
 	for i, g := range gs {
@@ -579,27 +514,24 @@ func TestDeltaSearchMatchesPaperAscent(t *testing.T) {
 			warm.setDelta(int64(delta + 1))
 			flow += warm.fn.MaxFlow(warm.src, warm.sink)
 		}
-		canon := coldPaths(t, g, demand, want)
-		for _, search := range []DeltaSearch{LinearSearch, BinarySearch} {
-			plan, err := BalancedPaths(g, 0, demand, search)
-			if err != nil {
-				t.Fatal(err)
+		plan, err := BalancedPaths(g, 0, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Delta != want {
+			t.Fatalf("case %d: delta %d, paper ascent %d", i, plan.Delta, want)
+		}
+		if !samePaths(plan.Paths, coldPaths(t, g, demand, want)) {
+			t.Fatalf("case %d: paths differ from a cold solve at %d (%d solves)",
+				i, want, plan.Solves)
+		}
+		if plan.Solves == 1 {
+			if lb != want {
+				t.Fatalf("case %d: one solve but bound %d != optimum %d", i, lb, want)
 			}
-			if plan.Delta != want {
-				t.Fatalf("case %d search %d: delta %d, paper ascent %d", i, search, plan.Delta, want)
-			}
-			if !samePaths(plan.Paths, canon) {
-				t.Fatalf("case %d search %d: paths differ from a cold solve at %d (%d solves)",
-					i, search, want, plan.Solves)
-			}
-			if plan.Solves == 1 {
-				if lb != want {
-					t.Fatalf("case %d: one solve but bound %d != optimum %d", i, lb, want)
-				}
-				reused++
-			} else {
-				resolved++
-			}
+			reused++
+		} else {
+			resolved++
 		}
 	}
 	if reused == 0 || resolved == 0 {

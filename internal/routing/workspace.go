@@ -1,8 +1,8 @@
 package routing
 
 // Workspace holds the reusable solver state of BalancedPaths: the flow
-// network with its adjacency and Dinic scratch, the decomposer's
-// slice-indexed state, and the binary search's flow snapshot. Every plan
+// network with its adjacency and Dinic scratch and the decomposer's
+// slice-indexed state. Every plan
 // runs on one: BalancedPaths (or a nil workspace) gets a zero-value one
 // private to the call. The zero value is ready to use; one workspace
 // serves one goroutine at a time.
@@ -13,9 +13,8 @@ package routing
 // removes the network-build allocations (the dominant routing cost on
 // the field's epoch hot path) without touching plan semantics.
 type Workspace struct {
-	nw   network
-	dec  decomposer
-	base []int64
+	nw  network
+	dec decomposer
 }
 
 // intSlice returns s resized to n, reusing the backing array when it is

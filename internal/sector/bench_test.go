@@ -16,7 +16,7 @@ func BenchmarkBuildPartition40(b *testing.B) {
 	for v := 1; v <= 40; v++ {
 		demand[v] = 2
 	}
-	plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+	plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 	if err != nil {
 		b.Fatal(err)
 	}

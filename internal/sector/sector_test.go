@@ -81,7 +81,7 @@ func TestMergeToTreeFlowSplitChoosesLighterPath(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
 	demand := []int{0, 5, 1, 2}
-	plan, err := routing.BalancedPaths(g, 0, demand, routing.LinearSearch)
+	plan, err := routing.BalancedPaths(g, 0, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestBuildPartitionOnRealClusters(t *testing.T) {
 		for v := 1; v <= n; v++ {
 			demand[v] = 1
 		}
-		plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.LinearSearch)
+		plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func TestBuildPartitionInvariantsManySeeds(t *testing.T) {
 		for v := 1; v <= n; v++ {
 			demand[v] = 1 + int(seed+int64(v))%3
 		}
-		plan, err := routing.BalancedPaths(c.G, topo.Head, demand, routing.BinarySearch)
+		plan, err := routing.BalancedPaths(c.G, topo.Head, demand)
 		if err != nil {
 			t.Fatal(err)
 		}

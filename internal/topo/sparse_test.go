@@ -52,8 +52,8 @@ func TestRebuildGraphMatchesAllPairs(t *testing.T) {
 			}
 		}
 		check("fresh")
-		c.MarkFailed(5)
-		check("after MarkFailed")
+		c.MarkFailedBatch([]int{5})
+		check("after a single kill")
 		c.MarkFailedBatch([]int{7, 12, 19})
 		check("after MarkFailedBatch")
 		for rev := int64(1); rev <= 3; rev++ {
@@ -78,7 +78,7 @@ func TestMarkFailedBatchMatchesSequential(t *testing.T) {
 	}
 	victims := []int{3, 11, 25, 31}
 	for _, v := range victims {
-		seqC.MarkFailed(v)
+		seqC.MarkFailedBatch([]int{v})
 	}
 	batchC.MarkFailedBatch(victims)
 	if !batchC.G.Equal(seqC.G) {
@@ -98,7 +98,7 @@ func TestReachableHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.MarkFailed(4)
+	c.MarkFailedBatch([]int{4})
 	want := c.Reachable()
 	if got := c.ReachableCount(); got != len(want) {
 		t.Fatalf("ReachableCount = %d, len(Reachable) = %d", got, len(want))

@@ -90,7 +90,7 @@ type Cluster struct {
 }
 
 // ConnectivityRev returns a revision counter that changes whenever a
-// connectivity rebuild (initial build, MarkFailed, RefreshConnectivity)
+// connectivity rebuild (initial build, MarkFailedBatch, RefreshConnectivity)
 // actually changes the graph. Plan caches key on it: as long as the
 // revision is unchanged, G and Level are unchanged and a routing plan
 // computed against them remains valid. A shadowing shift that flips no
@@ -194,22 +194,12 @@ func (c *Cluster) rebuildGraph() {
 	c.rev++
 }
 
-// MarkFailed takes sensor v out of the network — battery death or
-// hardware failure — by zeroing its transmit power and rebuilding the
-// connectivity graph and levels. Sensors that relied on v for relaying
-// may become unreachable; callers re-plan routing afterwards.
-func (c *Cluster) MarkFailed(v int) {
-	if v == Head {
-		panic("topo: the cluster head cannot fail (it is mains powered)")
-	}
-	c.Med.SetTxPower(v, 0)
-	c.rebuildGraph()
-}
-
-// MarkFailedBatch takes several sensors out of the network at once,
-// paying for a single connectivity rebuild instead of one per death. The
-// result is identical to calling MarkFailed on each in any order. An
-// empty batch is a no-op.
+// MarkFailedBatch takes sensors out of the network — battery death or
+// hardware failure — by zeroing their transmit power and rebuilding the
+// connectivity graph and levels once for the whole batch. Sensors that
+// relied on a victim for relaying may become unreachable; callers re-plan
+// routing afterwards. The graph and levels do not depend on how deaths
+// are batched or ordered. An empty batch is a no-op.
 func (c *Cluster) MarkFailedBatch(victims []int) {
 	if len(victims) == 0 {
 		return
@@ -225,7 +215,7 @@ func (c *Cluster) MarkFailedBatch(victims []int) {
 
 // RefreshConnectivity recomputes the medium's materialized link powers
 // from the (possibly mutated) propagation model and rebuilds the
-// connectivity graph and hop levels — the companion to MarkFailed for
+// connectivity graph and hop levels — the companion to MarkFailedBatch for
 // environmental churn. Callers mutate the propagation model in place
 // (e.g. install a new ShadowDB on a shared LogDistance) and then call
 // this; failed sensors stay failed because their transmit power remains

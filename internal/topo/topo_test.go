@@ -44,10 +44,10 @@ func TestConnectivityRevBumps(t *testing.T) {
 	if c.ConnectivityRev() != r0 {
 		t.Fatal("revision must be stable between rebuilds")
 	}
-	c.MarkFailed(3)
+	c.MarkFailedBatch([]int{3})
 	r1 := c.ConnectivityRev()
 	if r1 == r0 {
-		t.Fatal("MarkFailed must bump the revision")
+		t.Fatal("MarkFailedBatch must bump the revision")
 	}
 	// The model did not change, so this refresh flips no link: the graph
 	// is unchanged and the revision must hold — quiet clusters keep
@@ -327,7 +327,7 @@ func TestMarkFailedAndReachable(t *testing.T) {
 	if got := len(c.Reachable()); got != 15 {
 		t.Fatalf("reachable = %d", got)
 	}
-	c.MarkFailed(3)
+	c.MarkFailedBatch([]int{3})
 	if c.Level[3] != -1 {
 		t.Fatalf("failed sensor level = %d", c.Level[3])
 	}
@@ -343,7 +343,7 @@ func TestMarkFailedAndReachable(t *testing.T) {
 			t.Fatal("head failure should panic")
 		}
 	}()
-	c.MarkFailed(Head)
+	c.MarkFailedBatch([]int{Head})
 }
 
 func TestFieldBuildClusterDirect(t *testing.T) {
