@@ -225,97 +225,6 @@ func TestLatencyMetrics(t *testing.T) {
 	}
 }
 
-// LevelBreakdown is the per-hop-level view of a summary: how sensors at
-// each distance from the head spend their radios. Inner (level-1) sensors
-// relay everyone behind them, so their transmit share — and power draw —
-// is the cluster's lifetime bottleneck; this is what the min-max routing
-// of Section III-A balances.
-type LevelBreakdown struct {
-	Level   int
-	Sensors int
-	// MeanTx/MeanRx/MeanIdle are mean per-cycle radio times.
-	MeanTx, MeanRx, MeanIdle time.Duration
-	// MeanPower is the mean steady-state draw in watts under the model.
-	MeanPower float64
-}
-
-// ByLevel groups the summary's mean profiles by hop level.
-func (s *Summary) ByLevel(c *topo.Cluster, m energy.Model) []LevelBreakdown {
-	agg := map[int]*LevelBreakdown{}
-	for v := 1; v < len(s.MeanProfiles); v++ {
-		l := c.Level[v]
-		if l <= 0 {
-			continue
-		}
-		b := agg[l]
-		if b == nil {
-			b = &LevelBreakdown{Level: l}
-			agg[l] = b
-		}
-		b.Sensors++
-		p := s.MeanProfiles[v]
-		b.MeanTx += p.InTx
-		b.MeanRx += p.InRx
-		b.MeanIdle += p.InIdle
-		b.MeanPower += energy.AveragePower(m, p)
-	}
-	var out []LevelBreakdown
-	for l := 1; ; l++ {
-		b, ok := agg[l]
-		if !ok {
-			break
-		}
-		n := time.Duration(b.Sensors)
-		b.MeanTx /= n
-		b.MeanRx /= n
-		b.MeanIdle /= n
-		b.MeanPower /= float64(b.Sensors)
-		out = append(out, *b)
-	}
-	return out
-}
-
-func TestByLevelBreakdown(t *testing.T) {
-	c, err := topo.Build(topo.DefaultConfig(30, 137))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	p.LossProb = 0
-	p.RateBps = 40
-	r, err := NewRunner(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := r.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels := s.ByLevel(c, energy.DefaultModel())
-	if len(levels) < 2 {
-		t.Fatalf("expected multi-hop breakdown, got %d levels", len(levels))
-	}
-	total := 0
-	for i, b := range levels {
-		if b.Level != i+1 {
-			t.Fatalf("levels out of order: %+v", levels)
-		}
-		if b.Sensors <= 0 || b.MeanPower <= 0 {
-			t.Fatalf("empty breakdown: %+v", b)
-		}
-		total += b.Sensors
-	}
-	if total != 30 {
-		t.Fatalf("breakdown covers %d sensors", total)
-	}
-	// Level-1 sensors relay everything behind them: they transmit more
-	// than the outermost level.
-	if levels[0].MeanTx <= levels[len(levels)-1].MeanTx {
-		t.Fatalf("level 1 tx %v should exceed outermost %v",
-			levels[0].MeanTx, levels[len(levels)-1].MeanTx)
-	}
-}
-
 func TestPoissonTrafficDelivers(t *testing.T) {
 	c, err := topo.Build(topo.DefaultConfig(15, 179))
 	if err != nil {

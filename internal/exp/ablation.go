@@ -16,9 +16,11 @@ import (
 // one design choice of the paper and measures its effect.
 
 // DeltaRow compares the paper's delta ascent with the bounded one for
-// one cluster size: identical Delta, different solve counts. PaperSolves
-// is derived, not run: the paper's ascent from the largest demand by +1
-// takes Delta - maxDemand + 1 solves, plus the canonical solve.
+// one cluster size: identical Delta, different solve counts. Both count
+// cold max-flow solves, one per probed delta. PaperSolves is derived, not
+// run: the paper's ascent probes every delta from the largest demand up
+// to Delta, Delta - maxDemand + 1 solves, the last of them the feasible
+// one whose flow is decomposed.
 type DeltaRow struct {
 	Nodes        int
 	Delta        int
@@ -46,7 +48,7 @@ func AblationDelta(o Options, nodes []int, seed int64) ([]DeltaRow, error) {
 		}
 		return DeltaRow{
 			Nodes: n, Delta: plan.Delta,
-			PaperSolves:  plan.Delta - perSensor + 2,
+			PaperSolves:  plan.Delta - perSensor + 1,
 			LinearSolves: plan.Solves,
 		}, nil
 	})

@@ -100,12 +100,18 @@ func TestAblationDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const perSensor = 2 // AblationDelta's demand per sensor
 	for _, r := range rows {
-		if r.Delta < 2 {
+		if r.Delta < perSensor {
 			t.Errorf("delta %d should be at least the per-sensor demand", r.Delta)
 		}
 		if r.LinearSolves < 1 {
 			t.Errorf("solve counts missing: %+v", r)
+		}
+		// One cold solve per delta from the per-sensor demand up to the
+		// optimum, the last one feasible.
+		if want := r.Delta - perSensor + 1; r.PaperSolves != want {
+			t.Errorf("paper +1 ascent to delta %d: %d solves, want %d", r.Delta, r.PaperSolves, want)
 		}
 		if r.LinearSolves > r.PaperSolves {
 			t.Errorf("bounded ascent slower than the paper's +1 ascent: %+v", r)

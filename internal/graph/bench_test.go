@@ -66,22 +66,6 @@ func BenchmarkMaxFlowClusterSized(b *testing.B) {
 			f.MaxFlowEdmondsKarp(0, n-1)
 		}
 	})
-	// A probe at raised capacities solved from zero flow, as the
-	// routing planner's canonical solve does.
-	b.Run("cold-resolve", func(b *testing.B) {
-		f := buildBench(n, edges)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, e := range edges {
-				if e.u == 0 {
-					f.SetCapacity(2*j, e.c+2)
-				}
-			}
-			f.Reset()
-			f.MaxFlow(0, n-1)
-		}
-	})
 }
 
 func BenchmarkHamiltonianPath16(b *testing.B) {

@@ -18,11 +18,9 @@ const Inf = math.MaxInt64 / 4
 // the standard node-splitting construction; see the routing package for how
 // the relaying-path network is assembled.
 //
-// The network supports incremental re-solving: after MaxFlow, capacities may
-// be raised with SetCapacity and MaxFlow called again — it continues
-// augmenting from the retained flow, returning only the additional flow
-// pushed. The Dinic scratch state (level, current-arc, BFS queue) is
-// allocated once on the first solve; re-solves allocate nothing.
+// The Dinic scratch state (level, current-arc, BFS queue) is allocated on
+// the first solve and kept by Reuse, so a caller that rebuilds and solves
+// a similarly-sized network over and over allocates nothing.
 type FlowNetwork struct {
 	n     int
 	head  []int // head[e]: target vertex of edge e
@@ -71,29 +69,6 @@ func (f *FlowNetwork) AddEdge(u, v int, capacity int64) int {
 	return id
 }
 
-// SetCapacity updates the capacity of edge id (as returned by AddEdge).
-// Raising a capacity keeps the current flow feasible, so MaxFlow may be
-// called again to continue augmenting (the warm-started delta search in
-// the routing package). Lowering a capacity below the edge's current flow
-// requires Reset before the next solve.
-func (f *FlowNetwork) SetCapacity(id int, capacity int64) {
-	if id < 0 || id >= len(f.cap) || id%2 != 0 {
-		panic(fmt.Sprintf("graph: bad edge id %d", id))
-	}
-	if capacity < 0 {
-		panic("graph: negative capacity")
-	}
-	f.cap[id] = capacity
-}
-
-// Reset zeroes all flow so the network can be solved again from scratch
-// after arbitrary capacity changes.
-func (f *FlowNetwork) Reset() {
-	for i := range f.flow {
-		f.flow[i] = 0
-	}
-}
-
 // Reuse makes the network an empty n-vertex network again, equivalent to
 // NewFlowNetwork(n) but retaining every backing array — edge storage,
 // adjacency buckets and Dinic scratch. The epoch-loop reuse hook: a
@@ -136,9 +111,9 @@ func (f *FlowNetwork) EdgeEnds(id int) (int, int) {
 	return f.head[id+1], f.head[id]
 }
 
-// AugmentCount returns the total number of augmenting paths pushed by all
-// MaxFlow invocations on this network; the routing layer surfaces it as
-// routing_augment_paths_total.
+// AugmentCount returns the number of augmenting paths pushed by the MaxFlow
+// invocations since the network was built or last Reused; the routing
+// layer surfaces it as routing_augment_paths_total.
 func (f *FlowNetwork) AugmentCount() int { return f.augments }
 
 func (f *FlowNetwork) check(u int) {
@@ -148,7 +123,7 @@ func (f *FlowNetwork) check(u int) {
 }
 
 // ensureScratch sizes the Dinic scratch buffers; after the first call
-// re-solves are allocation-free.
+// solves on a network of the same size are allocation-free.
 func (f *FlowNetwork) ensureScratch() {
 	if len(f.level) != f.n {
 		if cap(f.level) >= f.n {
@@ -164,10 +139,9 @@ func (f *FlowNetwork) ensureScratch() {
 
 // MaxFlow pushes flow from s to t with Dinic's algorithm (BFS level graph
 // plus current-arc blocking flow) and returns the flow added by this
-// invocation; on a freshly built or Reset network that is the max-flow
-// value. Flow state is retained so callers can decompose it into relaying
-// paths afterwards, or raise capacities and call MaxFlow again to continue
-// augmenting (the warm-started delta search).
+// invocation; on a freshly built network that is the max-flow value. Flow
+// state is retained so callers can decompose it into relaying paths
+// afterwards.
 //
 // The paper invokes Ford-Fulkerson; Dinic is the standard polynomial-time
 // refinement and is strictly faster than the Edmonds-Karp oracle of the
@@ -249,7 +223,7 @@ func (f *FlowNetwork) augment(u, t int, limit int64) int64 {
 // residual graph of the last MaxFlow call. That call ends with a failed
 // BFS whose levels it keeps, so after MaxFlow the source-side vertices
 // form a minimum cut, read here without allocating. Valid only after
-// MaxFlow and until the flow or capacities next change.
+// MaxFlow and until the network next changes.
 func (f *FlowNetwork) SourceSide(v int) bool {
 	f.check(v)
 	return f.level[v] >= 0

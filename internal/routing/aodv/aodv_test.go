@@ -137,17 +137,6 @@ func TestRREPWithoutReverseRouteErrors(t *testing.T) {
 	}
 }
 
-func TestRoutesSnapshot(t *testing.T) {
-	tb := NewTable(1, time.Second)
-	tb.HandleRREQ(RREQ{Origin: 2, Dest: 0, ID: 1, OriginSeq: 1}, 2, 0)
-	if len(tb.Routes(0)) != 1 {
-		t.Fatal("snapshot should contain the live route")
-	}
-	if len(tb.Routes(time.Minute)) != 0 {
-		t.Fatal("snapshot should hide expired routes")
-	}
-}
-
 func TestOriginateBumpsIdentifiers(t *testing.T) {
 	tb := NewTable(3, tout)
 	a := tb.Originate(0, 0)
@@ -173,15 +162,4 @@ func (t *Table) HopCount(dest int, now time.Duration) (int, bool) {
 		return 0, false
 	}
 	return r.HopCount, true
-}
-
-// Routes returns a snapshot copy of the live routing table.
-func (t *Table) Routes(now time.Duration) map[int]Route {
-	out := make(map[int]Route, len(t.routes))
-	for d, r := range t.routes {
-		if now <= r.Expires {
-			out[d] = r
-		}
-	}
-	return out
 }

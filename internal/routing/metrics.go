@@ -7,9 +7,8 @@ import "repro/internal/obs"
 // Plan's Solves/AugmentingPaths to these series after planning a cluster,
 // and mhpolld serves them at /metrics.
 const (
-	// MetricSolves counts max-flow solver invocations across all routing
-	// plans (warm probes plus canonical decomposition solves; see
-	// Plan.Solves).
+	// MetricSolves counts max-flow solves across all routing plans: one
+	// cold solve per probed delta (see Plan.Solves).
 	MetricSolves = "routing_solves_total"
 	// MetricAugmentPaths counts augmenting paths pushed by the max-flow
 	// solver across all routing plans.
@@ -20,6 +19,6 @@ const (
 // as everywhere in the repo, emission works without it, registering makes
 // the exposition self-describing.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.Counter(MetricSolves, "max-flow solver invocations by the routing delta search (warm probes + canonical solves)")
+	reg.Counter(MetricSolves, "max-flow solves by the routing delta search (one cold solve per probed delta)")
 	reg.Counter(MetricAugmentPaths, "augmenting paths pushed by the routing max-flow solver")
 }

@@ -42,18 +42,14 @@ type Plan struct {
 	// Paths[v] holds the relaying paths of sensor v; weights sum to v's
 	// demand. Sensors with zero demand have no entry.
 	Paths map[int][]WeightedPath
-	// Solves counts the max-flow solver invocations used by the delta
-	// search, recorded for the delta ablation. The search starts at the
-	// layer-cut lower bound and jumps by the min-cut step, and most
-	// invocations continue augmenting an already partially solved
-	// network, so one "solve" is far cheaper than a cold max-flow.
-	// The count includes the final canonical solve that produces the
-	// decomposed flow; a count of 1 means the first solve, at the bound,
-	// was feasible and was reused as that canonical solve (see
-	// EXPERIMENTS.md).
+	// Solves counts the cold max-flow solves of the delta search, one per
+	// probed delta: the first at the layer-cut lower bound, one after each
+	// min-cut jump. The last is the feasible solve whose flow is
+	// decomposed, so a count of 1 means the bound was already optimal
+	// (see EXPERIMENTS.md).
 	Solves int
-	// AugmentingPaths counts the augmenting paths the solver pushed across
-	// all invocations — warm probes plus the canonical decomposition solve.
+	// AugmentingPaths sums the augmenting paths each of those solves
+	// pushed.
 	AugmentingPaths int
 }
 
@@ -100,50 +96,30 @@ func BalancedPathsWS(ws *Workspace, g *graph.Undirected, head int, demand []int)
 		ws = new(Workspace)
 	}
 
-	// The network is built once at the layer-cut lower bound; the delta
-	// search only raises the node-capacity arcs. Raising capacities keeps
-	// the current flow feasible (capacities are monotone in delta), so
-	// every probe continues augmenting instead of re-solving from zero.
+	// The paper's "start with a small delta ... then increment", started
+	// at the layer-cut lower bound and incremented by the step the min cut
+	// of the last solve proves necessary instead of by one: every delta
+	// skipped is infeasible, so the ascent still stops at the optimum.
+	// Each probe is a cold solve on a network built at its delta, so the
+	// feasible one is a cold solve at the optimum and its decomposed paths
+	// are a pure function of (g, head, demand, delta).
 	delta := layerBound(levels, demand, maxDemand)
-	nw := buildNetwork(ws, g, head, demand, int64(delta))
-	solve := func() int64 {
+	var nw *network
+	for {
+		nw = buildNetwork(ws, g, head, demand, int64(delta))
+		flow := nw.fn.MaxFlow(nw.src, nw.sink)
 		plan.Solves++
-		return nw.fn.MaxFlow(nw.src, nw.sink)
-	}
-
-	// The first solve runs from zero flow on exactly the network the
-	// canonical solve below would rebuild when delta stays at the bound.
-	flowVal := solve()
-	canonical := flowVal == int64(total)
-	// Warm delta-ascent, the paper's "start with a small delta ... then
-	// increment", with the increment taken from the min cut of the last
-	// solve instead of +1: every delta skipped is provably infeasible, so
-	// the ascent still stops at the optimum.
-	for flowVal < int64(total) {
-		next, err := nw.cutTarget(delta, flowVal, total)
+		plan.AugmentingPaths += nw.fn.AugmentCount()
+		if flow == int64(total) {
+			break
+		}
+		next, err := nw.cutTarget(delta, flow, total)
 		if err != nil {
 			return nil, err
 		}
 		delta = next
-		nw.setDelta(int64(delta))
-		flowVal += solve()
-	}
-
-	// Canonical decomposition solve: one cold max-flow at the final delta.
-	// The warm probes above establish feasibility cheaply, but their flow
-	// depends on the probe history; re-solving from zero makes the
-	// decomposed paths a pure function of (g, head, demand, delta), equal
-	// to a cold solve at the optimum. When the first solve was already
-	// feasible it was that cold solve, so it is reused rather than
-	// repeated.
-	if !canonical {
-		nw.fn.Reset() // the ascent left every node arc at delta
-		if solve() != int64(total) {
-			return nil, fmt.Errorf("routing: no feasible delta up to total demand %d", total)
-		}
 	}
 	plan.Delta = delta
-	plan.AugmentingPaths = nw.fn.AugmentCount()
 	paths, err := nw.decompose(ws, demand)
 	if err != nil {
 		return nil, err
@@ -269,17 +245,6 @@ func buildNetwork(ws *Workspace, g *graph.Undirected, head int, demand []int, de
 		}
 	}
 	return nw
-}
-
-// setDelta raises every sensor's node-capacity arc to delta. Capacities
-// are monotone over the delta search, so the existing flow stays feasible
-// and the next MaxFlow call merely continues augmenting.
-func (nw *network) setDelta(delta int64) {
-	for _, id := range nw.nodeEdge {
-		if id >= 0 {
-			nw.fn.SetCapacity(id, delta)
-		}
-	}
 }
 
 // decomposer peels a solved flow into weighted paths using slice-indexed

@@ -232,8 +232,8 @@ func TestZeroDemandPlan(t *testing.T) {
 
 func TestLineTakesOneSolve(t *testing.T) {
 	// On a line every packet crosses sensor 1, so the layer-cut bound is
-	// already the optimum: the first solve at the bound is feasible and is
-	// itself the canonical solve, so the search takes exactly one.
+	// already the optimum: the first solve, at the bound, is feasible and
+	// its flow is decomposed, so the search takes exactly one.
 	n := 24
 	plan, err := BalancedPaths(lineCluster(n), 0, unitDemand(n))
 	if err != nil {
@@ -248,7 +248,7 @@ func TestLineTakesOneSolve(t *testing.T) {
 }
 
 // randomCluster builds a random connected sensor graph with a few head
-// links plus a random demand vector — the topology family the warm-start
+// links plus a random demand vector — the topology family the search
 // equivalence properties are checked over.
 func randomCluster(rng *rand.Rand) (*graph.Undirected, []int) {
 	n := 3 + rng.Intn(14)
@@ -293,11 +293,11 @@ func samePaths(a, b map[int][]WeightedPath) bool {
 	return true
 }
 
-// TestWarmSearchMatchesColdSolve is the warm-start equivalence property:
-// on random cluster topologies, the warm-started search must agree with a
-// cold solve — a network built directly at the optimal delta and solved
+// TestSearchMatchesColdSolve is the search equivalence property: on
+// random cluster topologies, the delta search must agree with a cold
+// solve — a fresh network built directly at the optimal delta and solved
 // from zero flow — on both Delta and the decomposed paths, byte for byte.
-func TestWarmSearchMatchesColdSolve(t *testing.T) {
+func TestSearchMatchesColdSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(733))
 	for trial := 0; trial < 120; trial++ {
 		g, demand := randomCluster(rng)
@@ -323,7 +323,7 @@ func TestWarmSearchMatchesColdSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !samePaths(plan.Paths, cold) {
-			t.Fatalf("trial %d: warm paths differ from cold solve:\n%v\nvs\n%v", trial, plan.Paths, cold)
+			t.Fatalf("trial %d: searched paths differ from cold solve:\n%v\nvs\n%v", trial, plan.Paths, cold)
 		}
 		// Delta minimality: the cold network at delta-1 must not satisfy
 		// the demand (delta is the smallest feasible node capacity).
@@ -430,7 +430,8 @@ func paperDelta(t *testing.T, g *graph.Undirected, demand []int, total int) int 
 	return 0
 }
 
-// coldPaths decomposes a cold solve at delta: the canonical plan paths.
+// coldPaths decomposes a cold solve at delta: the plan's paths at the
+// optimum.
 func coldPaths(t *testing.T, g *graph.Undirected, demand []int, delta int) map[int][]WeightedPath {
 	t.Helper()
 	nw := buildNetwork(new(Workspace), g, 0, demand, int64(delta))
@@ -474,11 +475,13 @@ func deltaSearchCases(t *testing.T) (gs []*graph.Undirected, demands [][]int) {
 // TestBoundedAscentMatchesPaperAscent pins the bounded search against
 // the paper's +1 ascent: the layer bound and every min-cut jump target
 // stay at or below the optimum, the search finds the paper's delta, and
-// its paths equal a cold solve at it — also when the search reused its
-// first solve as the canonical one.
+// its paths equal a cold solve at it. It also pins the counters: Solves
+// is the length of the cold chain from the bound (solve, then jump until
+// feasible), never more than the paper's delta* - maxDemand + 1, and
+// AugmentingPaths sums that chain's augmenting paths.
 func TestBoundedAscentMatchesPaperAscent(t *testing.T) {
 	gs, demands := deltaSearchCases(t)
-	reused, resolved := 0, 0
+	atBound, jumped := 0, 0
 	for i, g := range gs {
 		demand := demands[i]
 		total, maxDemand := 0, 0
@@ -494,9 +497,16 @@ func TestBoundedAscentMatchesPaperAscent(t *testing.T) {
 		if lb > want {
 			t.Fatalf("case %d: layer bound %d above optimum %d", i, lb, want)
 		}
-		// Every delta below the optimum, reached warm by a +1 ascent and
-		// cold from zero flow: the min cut never jumps past the optimum.
-		checkJump := func(nw *network, delta int, flow int64) {
+		// solveAt cold-solves a fresh network at delta and returns the
+		// feasible flag, the augmenting paths pushed and, when
+		// infeasible, the min-cut jump target, which must never pass
+		// the optimum.
+		solveAt := func(delta int) (bool, int, int) {
+			nw := buildNetwork(new(Workspace), g, 0, demand, int64(delta))
+			flow := nw.fn.MaxFlow(nw.src, nw.sink)
+			if flow == int64(total) {
+				return true, nw.fn.AugmentCount(), 0
+			}
 			next, err := nw.cutTarget(delta, flow, total)
 			if err != nil {
 				t.Fatalf("case %d delta %d: %v", i, delta, err)
@@ -504,15 +514,25 @@ func TestBoundedAscentMatchesPaperAscent(t *testing.T) {
 			if next <= delta || next > want {
 				t.Fatalf("case %d: jump from %d to %d, optimum %d", i, delta, next, want)
 			}
+			return false, nw.fn.AugmentCount(), next
 		}
-		warm := buildNetwork(new(Workspace), g, 0, demand, int64(lb))
-		flow := warm.fn.MaxFlow(warm.src, warm.sink)
+		// Every delta below the optimum is infeasible and jumps at most
+		// to it.
 		for delta := lb; delta < want; delta++ {
-			checkJump(warm, delta, flow)
-			cold := buildNetwork(new(Workspace), g, 0, demand, int64(delta))
-			checkJump(cold, delta, cold.fn.MaxFlow(cold.src, cold.sink))
-			warm.setDelta(int64(delta + 1))
-			flow += warm.fn.MaxFlow(warm.src, warm.sink)
+			if ok, _, _ := solveAt(delta); ok {
+				t.Fatalf("case %d: delta %d below optimum %d is feasible", i, delta, want)
+			}
+		}
+		// The cold chain the search should run from the bound.
+		chain, augments := 0, 0
+		for delta := lb; ; {
+			ok, paths, next := solveAt(delta)
+			chain++
+			augments += paths
+			if ok {
+				break
+			}
+			delta = next
 		}
 		plan, err := BalancedPaths(g, 0, demand)
 		if err != nil {
@@ -525,17 +545,21 @@ func TestBoundedAscentMatchesPaperAscent(t *testing.T) {
 			t.Fatalf("case %d: paths differ from a cold solve at %d (%d solves)",
 				i, want, plan.Solves)
 		}
+		if plan.Solves != chain || plan.AugmentingPaths != augments {
+			t.Fatalf("case %d: %d solves and %d augmenting paths, cold chain from the bound takes %d and %d",
+				i, plan.Solves, plan.AugmentingPaths, chain, augments)
+		}
+		if paper := want - maxDemand + 1; plan.Solves > paper {
+			t.Fatalf("case %d: %d solves, the paper's +1 ascent takes %d", i, plan.Solves, paper)
+		}
 		if plan.Solves == 1 {
-			if lb != want {
-				t.Fatalf("case %d: one solve but bound %d != optimum %d", i, lb, want)
-			}
-			reused++
+			atBound++
 		} else {
-			resolved++
+			jumped++
 		}
 	}
-	if reused == 0 || resolved == 0 {
-		t.Fatalf("cases cover reused %d and re-solved %d canonical solves; want both", reused, resolved)
+	if atBound == 0 || jumped == 0 {
+		t.Fatalf("cases cover %d plans feasible at the bound and %d that jump; want both", atBound, jumped)
 	}
 }
 

@@ -129,32 +129,6 @@ func TestHeterogeneousRanges(t *testing.T) {
 	}
 }
 
-func TestFirstLevelSensors(t *testing.T) {
-	c, err := Build(DefaultConfig(30, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := c.FirstLevelSensors()
-	if len(fl) == 0 {
-		t.Fatal("no first-level sensors")
-	}
-	seen := map[int]bool{}
-	for _, v := range fl {
-		if c.Level[v] != 1 {
-			t.Fatalf("sensor %d in first level list has level %d", v, c.Level[v])
-		}
-		if !c.G.HasEdge(v, Head) {
-			t.Fatalf("first-level sensor %d lacks head edge", v)
-		}
-		seen[v] = true
-	}
-	for v := 1; v <= 30; v++ {
-		if c.Level[v] == 1 && !seen[v] {
-			t.Fatalf("sensor %d missing from first level list", v)
-		}
-	}
-}
-
 func TestLevelsMatchBFS(t *testing.T) {
 	c, err := Build(DefaultConfig(25, 11))
 	if err != nil {
@@ -372,15 +346,3 @@ func TestFieldBuildClusterDirect(t *testing.T) {
 // Reachable returns the sensors that currently have a relaying path to
 // the head, ascending.
 func (c *Cluster) Reachable() []int { return c.ReachableInto(nil) }
-
-// FirstLevelSensors returns the sensors that can communicate directly with
-// the head, in ascending id order.
-func (c *Cluster) FirstLevelSensors() []int {
-	var out []int
-	for v := 1; v < c.Med.N(); v++ {
-		if c.Level[v] == 1 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
