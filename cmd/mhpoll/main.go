@@ -31,7 +31,7 @@ func main() {
 		rate      = flag.Float64("rate", 20, "per-sensor data rate in bytes/second")
 		cycleSec  = flag.Float64("cycle", 4, "cycle length in seconds")
 		cycles    = flag.Int("cycles", 5, "number of duty cycles to simulate")
-		m         = flag.Int("m", 3, "compatibility degree M")
+		m         = flag.Int("m", 3, "compatibility degree M, 1–4")
 		loss      = flag.Float64("loss", 0.02, "per-transmission loss probability")
 		seed      = flag.Int64("seed", 1, "deployment and workload seed")
 		sectors   = flag.Bool("sectors", false, "divide the cluster into sectors")

@@ -93,8 +93,8 @@ func DefaultParams() Params {
 // Sentinel validation errors. Validate wraps them with the offending
 // values, so callers branch with errors.Is while messages stay specific.
 var (
-	// ErrBadM flags a compatibility degree below 1.
-	ErrBadM = errors.New("compatibility degree M must be >= 1")
+	// ErrBadM flags a compatibility degree outside [1, radio.MaxM].
+	ErrBadM = fmt.Errorf("compatibility degree M outside [1, %d]", radio.MaxM)
 	// ErrBadRadio flags non-positive bandwidth or packet sizes.
 	ErrBadRadio = errors.New("non-positive radio parameters")
 	// ErrBadCycle flags a non-positive cycle period.
@@ -109,7 +109,7 @@ var (
 // around its sentinel (ErrBadM, ErrBadRadio, ...). NewRunner,
 // RunLongitudinal and ReplaySchedule surface these errors unchanged.
 func (p Params) Validate() error {
-	if p.M < 1 {
+	if p.M < 1 || p.M > radio.MaxM {
 		return fmt.Errorf("cluster: M = %d: %w", p.M, ErrBadM)
 	}
 	if p.BandwidthBps <= 0 || p.DataBytes <= 0 || p.PollBytes <= 0 || p.AckBytes <= 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/radio"
 	"repro/internal/topo"
 )
 
@@ -18,6 +19,7 @@ func TestParamsValidateSentinels(t *testing.T) {
 	}{
 		{"valid", func(*Params) {}, nil},
 		{"bad M", func(p *Params) { p.M = 0 }, ErrBadM},
+		{"M above MaxM", func(p *Params) { p.M = radio.MaxM + 1 }, ErrBadM},
 		{"bad bandwidth", func(p *Params) { p.BandwidthBps = 0 }, ErrBadRadio},
 		{"bad data size", func(p *Params) { p.DataBytes = -1 }, ErrBadRadio},
 		{"bad poll size", func(p *Params) { p.PollBytes = 0 }, ErrBadRadio},

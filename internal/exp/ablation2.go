@@ -109,10 +109,6 @@ func AblationOrder(o Options, n int, seed int64, cycles int) ([]OrderRow, error)
 	if err != nil {
 		return nil, err
 	}
-	// One tested oracle shared by all heuristics — it is concurrency-safe,
-	// so the parallel cells pool their learned compatibility knowledge
-	// exactly as one head would across polling cycles.
-	oracle := radio.NewTestedOracle(radio.SINROracle{M: c.Med}, 3)
 	orders := []struct {
 		name string
 		fn   func([]core.Request) []int
@@ -123,6 +119,10 @@ func AblationOrder(o Options, n int, seed int64, cycles int) ([]OrderRow, error)
 	}
 	return Sweep(o, len(orders), func(i int) (OrderRow, error) {
 		ord := orders[i]
+		// Each cell is its own head with its own tested oracle; a verdict
+		// depends only on the medium, so the heuristics still compare on
+		// identical compatibility knowledge.
+		oracle := radio.NewTestedOracle(radio.SINROracle{M: c.Med}, 3)
 		total := 0
 		for cyc := 0; cyc < cycles; cyc++ {
 			routes := plan.CycleRoutes(cyc)

@@ -14,9 +14,9 @@ import (
 // grid of independent cells (a cluster size, a rate, a seed block, ...),
 // and the nested loops that used to walk the grid sequentially now fan
 // the cells out over a bounded worker pool. Cells are independent by
-// construction — each builds its own deployment — and the read-only
-// radio.Medium fast path plus the concurrency-safe TestedOracle make
-// sharing a deployment across workers safe where a sweep wants it.
+// construction — each builds its own deployment and its own tested
+// oracles — and the read-only radio.Medium fast path makes sharing a
+// deployment across workers safe where a sweep wants it.
 
 // Options configures a sweep and is threaded explicitly through every
 // figure and ablation entry point. The zero value is ready to use: all

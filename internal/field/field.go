@@ -98,13 +98,6 @@ type Config struct {
 	Epochs int
 	// Churn is the fault-injection configuration.
 	Churn Churn
-	// OnEpoch, when non-nil, is invoked once per completed epoch with
-	// that epoch's report, from the goroutine calling MergeEpoch (directly
-	// or through RunEpoch). The report is the same value appended to the
-	// Summary; callbacks must not retain it past the call if they mutate
-	// it. The hook is observational only — it cannot influence the run,
-	// so the determinism contract is unaffected.
-	OnEpoch func(*EpochReport)
 }
 
 // epochCycles resolves the per-epoch cycle count.

@@ -273,9 +273,8 @@ func (rt *Runtime) runCluster(o exp.Options, epoch, k int) error {
 // must cover exactly the field's non-empty clusters. The merge rebuilds
 // the report in cluster-index order, writes every boundary delta into
 // the runtime's dead and battery books (an exact copy for results the
-// runtime produced itself) without touching any topology, emits the
-// field_* and routing series into o when it is non-nil, and calls
-// Config.OnEpoch.
+// runtime produced itself) without touching any topology, and emits the
+// field_* and routing series into o when it is non-nil.
 func (rt *Runtime) MergeEpoch(o obs.Observer, results []ClusterResult) (*EpochReport, error) {
 	epoch := rt.epoch
 	if rt.scratchByK == nil {
@@ -389,9 +388,6 @@ func (rt *Runtime) MergeEpoch(o obs.Observer, results []ClusterResult) (*EpochRe
 	rt.sum.Reports = append(rt.sum.Reports, rep)
 	if o != nil {
 		emitEpoch(&rep, ordered, o)
-	}
-	if rt.cfg.OnEpoch != nil {
-		rt.cfg.OnEpoch(&rep)
 	}
 	return &rep, nil
 }

@@ -3,9 +3,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // CompatibilityOracle answers whether a group of transmissions may share a
@@ -62,35 +59,31 @@ func (o ProtocolOracle) Compatible(txs []Transmission) bool {
 // MaxGroup implements CompatibilityOracle.
 func (o ProtocolOracle) MaxGroup() int { return 0 }
 
-// packedGroupMax is the largest group the allocation-free cache key can
-// hold. The paper's M is "a small positive integer, such as 2 or 3", so
-// groups beyond this size fall back to a string-keyed cache.
-const packedGroupMax = 4
+// MaxM is the largest group bound a TestedOracle accepts. The paper's M
+// is "a small positive integer, such as 2 or 3"; four keeps the learned
+// verdicts under one fixed-size, allocation-free key.
+const MaxM = 4
 
 // packedKey is an order-insensitive canonical key for a transmission
-// group: each transmission packed into a uint64 (From in the high word,
-// To in the low word), insertion-sorted, unused slots at the sentinel.
+// group of at most MaxM: each transmission packed into a uint64 (From's
+// low 32 bits in the high word, To's in the low word), insertion-sorted,
+// unused slots at the sentinel. Truncating an id to uint32 is injective
+// over every int32 id, which covers every node a medium can name; the
+// only transmission that packs to the sentinel, -1 → -1, names none.
 // Being a plain comparable array it is hashed by the map without any
 // allocation.
-type packedKey [packedGroupMax]uint64
+type packedKey [MaxM]uint64
 
 const packedUnused = math.MaxUint64
 
-// packGroup canonicalizes txs into a packedKey. ok is false when the
-// group does not fit the packed representation (too large, or node ids
-// outside [0, 2^31)) and the caller must use the string key instead.
-func packGroup(txs []Transmission) (key packedKey, ok bool) {
-	if len(txs) > packedGroupMax {
-		return key, false
-	}
+// packGroup canonicalizes txs, which must hold at most MaxM
+// transmissions, into a packedKey.
+func packGroup(txs []Transmission) (key packedKey) {
 	for i := range key {
 		key[i] = packedUnused
 	}
 	for i, t := range txs {
-		if uint(t.From) > math.MaxInt32 || uint(t.To) > math.MaxInt32 {
-			return key, false
-		}
-		v := uint64(t.From)<<32 | uint64(t.To)
+		v := uint64(uint32(t.From))<<32 | uint64(uint32(t.To))
 		j := i
 		for j > 0 && key[j-1] > v {
 			key[j] = key[j-1]
@@ -98,7 +91,7 @@ func packGroup(txs []Transmission) (key packedKey, ok bool) {
 		}
 		key[j] = v
 	}
-	return key, true
+	return key
 }
 
 // TestedOracle models the head's practical knowledge (Section V-E): it
@@ -108,29 +101,28 @@ func packGroup(txs []Transmission) (key packedKey, ok bool) {
 // uses ("if we divide a cluster with 80 sensors into 8 sectors ... far
 // less groups need to be tested").
 //
-// A TestedOracle is safe for concurrent use, so one oracle (and its
-// learned cache) can be shared across parallel sweep workers. Tests stays
-// exact under concurrency: a group is only ever tested once, with
-// duplicate concurrent misses resolved under the write lock. Read Tests
-// once concurrent use has quiesced, such as after the querying
-// goroutines' WaitGroup returns.
+// One head owns one oracle: a TestedOracle is not safe for concurrent
+// use and serves one goroutine at a time. A cluster runner keeps one per
+// cluster, and parallel sweep cells each build their own.
 type TestedOracle struct {
 	Truth CompatibilityOracle
 	M     int
 	Tests int
 
-	mu   sync.RWMutex
-	fast map[packedKey]bool
-	slow map[string]bool // overflow groups that don't fit a packedKey
+	verdicts map[packedKey]bool
 }
 
-// NewTestedOracle wraps truth with an M-bounded testing cache. M must be
-// at least 1.
+// NewTestedOracle wraps truth with an M-bounded testing cache. M must lie
+// in [1, MaxM].
 func NewTestedOracle(truth CompatibilityOracle, m int) *TestedOracle {
-	if m < 1 {
-		panic("radio: TestedOracle requires M >= 1")
+	checkM(m)
+	return &TestedOracle{Truth: truth, M: m, verdicts: make(map[packedKey]bool)}
+}
+
+func checkM(m int) {
+	if m < 1 || m > MaxM {
+		panic(fmt.Sprintf("radio: TestedOracle requires 1 <= M <= %d, got %d", MaxM, m))
 	}
-	return &TestedOracle{Truth: truth, M: m, fast: make(map[packedKey]bool)}
 }
 
 // Compatible implements CompatibilityOracle. Groups larger than M are
@@ -141,79 +133,34 @@ func (o *TestedOracle) Compatible(txs []Transmission) bool {
 	if len(txs) > o.M {
 		return false
 	}
-	if key, ok := packGroup(txs); ok {
-		o.mu.RLock()
-		v, hit := o.fast[key]
-		o.mu.RUnlock()
-		if hit {
-			return v
-		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if v, hit := o.fast[key]; hit {
-			return v
-		}
-		v = o.Truth.Compatible(txs)
-		o.fast[key] = v
-		o.Tests++
+	key := packGroup(txs)
+	if v, hit := o.verdicts[key]; hit {
 		return v
 	}
-	key := groupKey(txs)
-	o.mu.RLock()
-	v, hit := o.slow[key]
-	o.mu.RUnlock()
-	if hit {
-		return v
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if v, hit := o.slow[key]; hit {
-		return v
-	}
-	if o.slow == nil {
-		o.slow = make(map[string]bool)
-	}
-	v = o.Truth.Compatible(txs)
-	o.slow[key] = v
+	v := o.Truth.Compatible(txs)
+	o.verdicts[key] = v
 	o.Tests++
 	return v
 }
 
 // Reset re-arms the oracle over a (possibly new) truth oracle and group
 // bound, clearing every cached verdict and the test counter but keeping
-// the maps' allocated buckets. After Reset the oracle answers exactly as
+// the map's allocated buckets. After Reset the oracle answers exactly as
 // a fresh NewTestedOracle(truth, m) would: stale verdicts cannot leak
-// because the caches are emptied, and Tests restarts from zero. A caller
+// because the cache is emptied, and Tests restarts from zero. A caller
 // that keeps the oracle across a change of its truth — a cluster runner
 // whose medium moved to a new radio.Medium.PowerRev — must Reset it; one
-// whose truth is unchanged keeps its verdicts by not calling Reset. Must
-// not race with Compatible calls.
+// whose truth is unchanged keeps its verdicts by not calling Reset.
 func (o *TestedOracle) Reset(truth CompatibilityOracle, m int) {
-	if m < 1 {
-		panic("radio: TestedOracle requires M >= 1")
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	checkM(m)
 	o.Truth = truth
 	o.M = m
 	o.Tests = 0
-	clear(o.fast)
-	clear(o.slow)
+	clear(o.verdicts)
 }
 
 // MaxGroup implements CompatibilityOracle.
 func (o *TestedOracle) MaxGroup() int { return o.M }
-
-// groupKey canonicalizes a transmission group (order-insensitive) as a
-// string. Only used for groups that overflow the packed fast-path key.
-func groupKey(txs []Transmission) string {
-	parts := make([]string, len(txs))
-	for i, t := range txs {
-		parts[i] = fmt.Sprintf("%d>%d", t.From, t.To)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
 
 // TableOracle is an explicit compatibility table over pairs: a group is
 // compatible iff all of its pairs are marked compatible and no sender or

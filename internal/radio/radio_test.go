@@ -221,12 +221,16 @@ func TestTestedOracleCachesAndBounds(t *testing.T) {
 }
 
 func TestTestedOraclePanicsOnBadM(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTestedOracle(SINROracle{}, 0)
+	for _, m := range []int{0, MaxM + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewTestedOracle(M = %d): expected panic", m)
+				}
+			}()
+			NewTestedOracle(SINROracle{}, m)
+		}()
+	}
 }
 
 func TestTableOracle(t *testing.T) {

@@ -786,7 +786,8 @@ func (m *Manager) finish(j *Job, result []byte) {
 // epoch boundary. The checkpoint discipline is the crash-safety core:
 // snapshot first (atomic), manifest second, so the spool always holds a
 // snapshot at least as new as the manifest's epoch counter, and a
-// resume never needs state the spool might have lost.
+// resume never needs state the spool might have lost. An epoch's event
+// is published only once its checkpoint commits, as in runDist.
 func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, error) {
 	spec := j.Spec.Field
 	f, cfg, err := spec.Build()
@@ -794,10 +795,6 @@ func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, erro
 		return nil, err
 	}
 	fd := m.feed(id)
-	cfg.OnEpoch = func(rep *field.EpochReport) {
-		fd.Publish("epoch", rep)
-	}
-
 	snapPath := m.spool.SnapshotPath(id)
 	var rt *field.Runtime
 	if snap := m.loadCheckpoint(id); snap != nil {
@@ -815,12 +812,14 @@ func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := rt.RunEpoch(opts); err != nil {
+		rep, err := rt.RunEpoch(opts)
+		if err != nil {
 			return nil, err
 		}
 		if err := m.checkpoint(id, snapPath, rt.Snapshot()); err != nil {
 			return nil, err
 		}
+		fd.Publish("epoch", rep)
 	}
 	return json.MarshalIndent(rt.Summary(), "", "  ")
 }

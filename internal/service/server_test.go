@@ -340,6 +340,34 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsBadFieldParams: a field spec's cluster params are
+// validated at POST, for field and dist_field jobs alike, so a bad M or
+// loss probability is a 400 and never reaches a worker.
+func TestHTTPRejectsBadFieldParams(t *testing.T) {
+	ts, m := newTestServer(t, 1, 4)
+	fieldObj := func(params string) string {
+		return `{"seed": 19, "side": 300, "heads": 5, "sensors": 90,
+			"sensor_range": 40, "interference_range": 80, "params": ` + params + `}`
+	}
+	for _, params := range []string{
+		`{"m": 5}`, `{"loss_prob": 1.5}`,
+		`{"m": -1}`, `{"loss_prob": -0.5}`, `{"rate_bps": -3}`, `{"cycle_ms": -5}`, `{"data_bytes": -80}`,
+	} {
+		for _, body := range []string{
+			`{"type":"field","field":` + fieldObj(params) + `}`,
+			`{"type":"dist_field","dist":{"field":` + fieldObj(params) + `,"workers":["http://127.0.0.1:1"]}}`,
+		} {
+			resp, out := postJSON(t, ts.URL+"/v1/jobs", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("params %s: %d %s, want 400", params, resp.StatusCode, out)
+			}
+		}
+	}
+	if got := len(m.Jobs()); got != 0 {
+		t.Fatalf("%d jobs in store after rejected submissions", got)
+	}
+}
+
 // TestHTTPSubmitSpoolFailure: a valid spec the spool cannot record is the
 // server's fault, so it answers 500 and leaves no job behind, while an
 // invalid spec still answers 400.

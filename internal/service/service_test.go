@@ -328,6 +328,36 @@ func TestCheckpointStageObserved(t *testing.T) {
 	}
 }
 
+// TestEpochEventFollowsCheckpoint: a field job streams an epoch only
+// once its checkpoint commits. A non-empty directory at the snapshot path
+// makes the first checkpoint write fail, so the job fails with no epoch
+// event on its feed.
+func TestEpochEventFollowsCheckpoint(t *testing.T) {
+	m, err := New(Config{SpoolDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Submit(testFieldSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(m.spool.SnapshotPath(j.ID), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer stopManager(t, m)
+	fin := waitJob(t, m, j.ID, 60*time.Second, func(x Job) bool { return x.State.Terminal() })
+	if fin.State != StateFailed {
+		t.Fatalf("job finished %s (%s), want failed at its first checkpoint", fin.State, fin.Error)
+	}
+	evs, _, _ := m.feed(j.ID).Since(0)
+	for _, e := range evs {
+		if e.Name == "epoch" {
+			t.Fatalf("epoch event published without a committed checkpoint: %s", e.Data)
+		}
+	}
+}
+
 func stopManager(t *testing.T, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

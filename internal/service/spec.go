@@ -284,8 +284,10 @@ func (ps *ProbeSpec) run(ctx context.Context, attempt int) ([]byte, error) {
 }
 
 // ParamsSpec is the JSON-friendly subset of cluster.Params a job may
-// override. Zero values inherit cluster.DefaultParams(); durations are
-// milliseconds so specs stay unit-explicit.
+// override. Zero values inherit cluster.DefaultParams(); any other value
+// overrides it, so an out-of-range one fails FieldSpec validation rather
+// than silently running on the default. Durations are milliseconds so
+// specs stay unit-explicit.
 type ParamsSpec struct {
 	M          int     `json:"m,omitempty"`
 	RateBps    float64 `json:"rate_bps,omitempty"`
@@ -303,19 +305,19 @@ func (ps *ParamsSpec) apply(p *cluster.Params) {
 	if ps == nil {
 		return
 	}
-	if ps.M > 0 {
+	if ps.M != 0 {
 		p.M = ps.M
 	}
-	if ps.RateBps > 0 {
+	if ps.RateBps != 0 {
 		p.RateBps = ps.RateBps
 	}
-	if ps.CycleMS > 0 {
+	if ps.CycleMS != 0 {
 		p.Cycle = time.Duration(ps.CycleMS * float64(time.Millisecond))
 	}
-	if ps.LossProb > 0 {
+	if ps.LossProb != 0 {
 		p.LossProb = ps.LossProb
 	}
-	if ps.DataBytes > 0 {
+	if ps.DataBytes != 0 {
 		p.DataBytes = ps.DataBytes
 	}
 	if ps.Seed != 0 {
@@ -374,7 +376,15 @@ func (fs *FieldSpec) validate() error {
 	if fs.FaultRate < 0 || fs.FaultRate > 1 {
 		return fmt.Errorf("service: fault rate %g outside [0,1]", fs.FaultRate)
 	}
-	return nil
+	return fs.params().Validate()
+}
+
+// params resolves the cluster parameters: the defaults with the spec's
+// overrides applied.
+func (fs *FieldSpec) params() cluster.Params {
+	p := cluster.DefaultParams()
+	fs.Params.apply(&p)
+	return p
 }
 
 // epochs resolves the job's target epoch count.
@@ -400,11 +410,9 @@ func (fs *FieldSpec) Build() (*topo.Field, field.Config, error) {
 	if tc.HeadRange <= 0 {
 		tc.HeadRange = fs.Side
 	}
-	p := cluster.DefaultParams()
-	fs.Params.apply(&p)
 	cfg := field.Config{
 		Topo:              tc,
-		Params:            p,
+		Params:            fs.params(),
 		InterferenceRange: fs.InterferenceRange,
 		BatteryJoules:     fs.BatteryJoules,
 		EpochCycles:       fs.EpochCycles,
