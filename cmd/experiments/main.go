@@ -141,15 +141,11 @@ func main() {
 			fmt.Println("Network decay (longitudinal Fig. 7(c)): battery deaths with and without sectors")
 			fmt.Println(exp.RenderDecay(rows))
 		case "capacity":
-			nodes := []int{10, 20, 30, 40, 60, 80, 100}
-			seeds := []int64{1, 2}
+			cfg := exp.DefaultCapacity()
 			if *quick {
-				nodes = []int{10, 30}
-				seeds = []int64{1}
+				cfg = exp.QuickCapacity()
 			}
-			p := exp.DefaultFig7a().Params
-			p.LossProb = 0
-			rows, err := exp.Capacity(opts, nodes, seeds, p)
+			rows, err := exp.Capacity(opts, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

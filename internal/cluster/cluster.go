@@ -70,9 +70,6 @@ type Params struct {
 	// route's header. The default is the equivalent one-hop dependent
 	// table, which costs sensor memory instead of airtime.
 	SourceRouting bool
-	// PoissonTraffic replaces periodic CBR sampling with Poisson packet
-	// arrivals of the same mean rate (event-driven sensing).
-	PoissonTraffic bool
 }
 
 // DefaultParams returns the paper-flavored defaults.
@@ -146,7 +143,7 @@ type Runner struct {
 	// testsBase is Oracle.Tests when the runner was built, so
 	// CycleResult.OracleTests counts this runner's tests only.
 	testsBase int
-	gen       workload.Generator
+	gen       *workload.CBR
 	demand    []int
 	// groups lists the sensor groups that wake in turn: one group of all
 	// sensors without sectors, or one per sector.
@@ -204,11 +201,7 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 		return nil, err
 	}
 	n := c.Sensors()
-	cbr := workload.NewCBR(n, p.RateBps, p.DataBytes)
-	var gen workload.Generator = cbr
-	if p.PoissonTraffic {
-		gen = workload.NewPoisson(n, p.RateBps, p.DataBytes, p.Seed^0x50a550a5)
-	}
+	gen := workload.NewCBR(n, p.RateBps, p.DataBytes)
 	if cache == nil {
 		cache = new(routing.PlanCache)
 	}
@@ -221,7 +214,7 @@ func NewRunnerScratch(c *topo.Cluster, p Params, cache *routing.PlanCache, scr *
 	scr.unreachable = scr.unreachable[:0]
 	for v := 1; v <= n; v++ {
 		if c.Level[v] > 0 {
-			demand[v] = cbr.PlanningDemand(p.Cycle)
+			demand[v] = gen.PlanningDemand(p.Cycle)
 		} else {
 			// Failed or stranded sensors (topo.Cluster.MarkFailedBatch)
 			// take no part in the cluster.

@@ -225,49 +225,6 @@ func TestLatencyMetrics(t *testing.T) {
 	}
 }
 
-func TestPoissonTrafficDelivers(t *testing.T) {
-	c, err := topo.Build(topo.DefaultConfig(15, 179))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	p.PoissonTraffic = true
-	p.RateBps = 40
-	p.LossProb = 0
-	p.Seed = 5
-	r, err := NewRunner(c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := r.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Offered == 0 {
-		t.Fatal("Poisson traffic offered nothing")
-	}
-	if s.DeliveredFraction() != 1 {
-		t.Fatalf("delivered %v", s.DeliveredFraction())
-	}
-	// Poisson cycles vary: data slots should not be identical each
-	// cycle. Check through two independent cycles' offered counts.
-	a, err := r.RunCycle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var differed bool
-	for i := 0; i < 5 && !differed; i++ {
-		b, err := r.RunCycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		differed = b.Offered != a.Offered
-	}
-	if !differed {
-		t.Fatal("Poisson offered counts never varied across cycles")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	c, err := topo.Build(topo.DefaultConfig(10, 199))
 	if err != nil {

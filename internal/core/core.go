@@ -115,9 +115,6 @@ type Options struct {
 	AllowDelay bool
 	// Loss injects packet loss; nil means lossless.
 	Loss LossFn
-	// MaxSlots aborts runs that exceed this many slots (a safety net for
-	// pathological loss rates). Zero means 64 * (total hops + 1).
-	MaxSlots int
 	// Order optionally fixes the scan order of requests (indices into the
 	// request slice). Nil means natural order. The paper's algorithm
 	// scans "according to an arbitrarily predetermined order".

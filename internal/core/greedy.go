@@ -39,10 +39,9 @@ func Greedy(reqs []Request, opt Options) (*Schedule, *Stats, error) {
 		}
 		totalHops += r.Hops()
 	}
-	maxSlots := opt.MaxSlots
-	if maxSlots == 0 {
-		maxSlots = 64 * (totalHops + 1)
-	}
+	// A safety net for pathological loss rates: runs that exceed this
+	// many slots abort.
+	maxSlots := 64 * (totalHops + 1)
 	if opt.AllowDelay {
 		return greedyDelay(reqs, order, opt, maxSlots, totalHops)
 	}

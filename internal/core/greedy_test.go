@@ -193,7 +193,7 @@ func TestGreedyMidRouteLossRepollsFromSource(t *testing.T) {
 func TestGreedyPermanentLossErrors(t *testing.T) {
 	reqs, o := fig2Instance()
 	loss := func(int, radio.Transmission) bool { return true }
-	_, _, err := Greedy(reqs, Options{Oracle: o, Loss: loss, MaxSlots: 100})
+	_, _, err := Greedy(reqs, Options{Oracle: o, Loss: loss})
 	if err == nil {
 		t.Fatal("expected overflow error under 100% loss")
 	}

@@ -42,7 +42,6 @@ func Optimal(reqs []Request, opt Options) (*Schedule, error) {
 	gsched, _, err := Greedy(reqs, Options{
 		Oracle:        opt.Oracle,
 		MaxConcurrent: opt.MaxConcurrent,
-		MaxSlots:      opt.MaxSlots,
 	})
 	if err != nil {
 		return nil, err

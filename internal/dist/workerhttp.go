@@ -21,9 +21,10 @@ import (
 //	DELETE /v1/worker/sessions/{id}              → 204
 //
 // Error mapping: unknown session 404, protocol violations (epoch out of
-// step, mismatched state) 409, undecodable bodies (malformed JSON, a
-// corrupt adoption delta) 400, everything else 500. The body of a failure is the error text — the coordinator folds
-// it into its own error.
+// step, mismatched state) 409, undecodable bodies (malformed JSON, bytes
+// after the request, a corrupt adoption delta) 400, everything else 500.
+// The body of a failure is the error text — the coordinator folds it into
+// its own error.
 
 // Handler returns the worker API as a self-contained http.Handler,
 // ready to mount on a daemon's mux (the patterns carry the full
@@ -35,7 +36,7 @@ func (h *WorkerHost) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req OpenRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r.Body, &req); err != nil {
 			http.Error(w, "dist: decode open request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -47,7 +48,7 @@ func (h *WorkerHost) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/sessions/{id}/epoch", func(w http.ResponseWriter, r *http.Request) {
 		var req EpochRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r.Body, &req); err != nil {
 			http.Error(w, "dist: decode epoch request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -64,6 +65,19 @@ func (h *WorkerHost) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	return mux
+}
+
+// decodeBody decodes a request body that must hold exactly one JSON
+// value: bytes after it make the body malformed.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return errors.New("trailing data after the request")
+	}
+	return nil
 }
 
 // httpError maps a host error onto a status code.

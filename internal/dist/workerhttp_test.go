@@ -14,7 +14,8 @@ import (
 
 // TestWorkerHTTPStatus pins the worker API's error mapping: unknown
 // session 404, protocol violations 409, undecodable bodies — malformed
-// JSON or a structurally corrupt adoption delta — 400.
+// JSON, bytes after the request or a structurally corrupt adoption
+// delta — 400.
 func TestWorkerHTTPStatus(t *testing.T) {
 	h := NewWorkerHost(testBuilder)
 	if err := h.Open(OpenRequest{Session: "s"}); err != nil {
@@ -29,6 +30,7 @@ func TestWorkerHTTPStatus(t *testing.T) {
 		{"unknown session", "nope", `{"epoch":0,"clusters":[0]}`, http.StatusNotFound},
 		{"epoch out of step", "s", `{"epoch":5,"clusters":[0]}`, http.StatusConflict},
 		{"malformed json", "s", `{"epoch":`, http.StatusBadRequest},
+		{"trailing bytes", "s", `{"epoch":0,"clusters":[0]} x`, http.StatusBadRequest},
 		{"corrupt delta", "s", `{"epoch":0,"clusters":[0],"adopt_deltas":[{"cluster":0,"epoch":-1}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/worker/sessions/"+tc.session+"/epoch", "application/json", strings.NewReader(tc.body))

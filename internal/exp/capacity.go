@@ -22,18 +22,45 @@ type CapacityRow struct {
 	TotalBps float64
 }
 
+// CapacityConfig sweeps cluster sizes at fixed cluster parameters.
+type CapacityConfig struct {
+	Nodes  []int
+	Seeds  []int64
+	Params cluster.Params
+}
+
+// DefaultCapacity sweeps 10-100 sensors on the paper's defaults with
+// packet loss off, since the frontier is the lossless rate.
+func DefaultCapacity() CapacityConfig {
+	p := cluster.DefaultParams()
+	p.LossProb = 0
+	return CapacityConfig{
+		Nodes:  []int{10, 20, 30, 40, 60, 80, 100},
+		Seeds:  []int64{1, 2},
+		Params: p,
+	}
+}
+
+// QuickCapacity is a cut-down sweep for tests and quick runs.
+func QuickCapacity() CapacityConfig {
+	c := DefaultCapacity()
+	c.Nodes = []int{10, 30}
+	c.Seeds = []int64{1}
+	return c
+}
+
 // Capacity sweeps cluster sizes for the sustainable-rate frontier, one
 // size per parallel sweep cell.
-func Capacity(o Options, nodes []int, seeds []int64, p cluster.Params) ([]CapacityRow, error) {
-	return Sweep(o, len(nodes), func(i int) (CapacityRow, error) {
-		n := nodes[i]
+func Capacity(o Options, cfg CapacityConfig) ([]CapacityRow, error) {
+	return Sweep(o, len(cfg.Nodes), func(i int) (CapacityRow, error) {
+		n := cfg.Nodes[i]
 		var rates []float64
-		for _, seed := range seeds {
+		for _, seed := range cfg.Seeds {
 			c, err := topo.Build(topo.DefaultConfig(n, seed))
 			if err != nil {
 				return CapacityRow{}, err
 			}
-			r, err := cluster.MaxSustainableRate(c, p, 1, 8)
+			r, err := cluster.MaxSustainableRate(c, cfg.Params, 1, 8)
 			if err != nil {
 				return CapacityRow{}, err
 			}

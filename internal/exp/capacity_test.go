@@ -3,14 +3,12 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 func TestCapacityFrontier(t *testing.T) {
-	p := cluster.DefaultParams()
-	p.LossProb = 0
-	rows, err := Capacity(Options{}, []int{10, 40}, []int64{1}, p)
+	cfg := QuickCapacity()
+	cfg.Nodes = []int{10, 40}
+	rows, err := Capacity(Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

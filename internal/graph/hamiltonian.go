@@ -51,7 +51,7 @@ func HamiltonianPath(g *Undirected) []int {
 			// Extend the path ending at v to each unvisited neighbor.
 			ext := adj[v] &^ uint32(mask)
 			for ext != 0 {
-				w := trailingZeros32(ext)
+				w := bits.TrailingZeros32(ext)
 				ext &= ext - 1
 				reach[mask|1<<uint(w)] |= 1 << uint(w)
 			}
@@ -64,7 +64,7 @@ func HamiltonianPath(g *Undirected) []int {
 	path := make([]int, 0, n)
 	mask := int(full)
 	// Pick any final endpoint.
-	last := trailingZeros32(reach[full])
+	last := bits.TrailingZeros32(reach[full])
 	path = append(path, last)
 	for len(path) < n {
 		prevMask := mask &^ (1 << uint(last))
@@ -74,7 +74,7 @@ func HamiltonianPath(g *Undirected) []int {
 			// Should not happen if DP is consistent.
 			panic("graph: Hamiltonian reconstruction failed")
 		}
-		found = trailingZeros32(cands)
+		found = bits.TrailingZeros32(cands)
 		path = append(path, found)
 		mask = prevMask
 		last = found
@@ -85,5 +85,3 @@ func HamiltonianPath(g *Undirected) []int {
 	}
 	return path
 }
-
-func trailingZeros32(x uint32) int { return bits.TrailingZeros32(x) }

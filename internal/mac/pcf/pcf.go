@@ -53,7 +53,7 @@ func Analyze(c *topo.Cluster) (*Result, error) {
 	// Coverage and boosts use the same reliability bar as the cluster's
 	// connectivity graph: a PCF station must reach the coordinator
 	// *reliably*, not merely at the decode threshold.
-	need := c.Med.RxThreshold
+	need := radio.DefaultRxThreshold
 	if c.Cfg.MaxLinkLoss > 0 && c.Cfg.MaxLinkLoss < 1 {
 		need *= math.Pow(10, radio.MarginForLoss(c.Cfg.MaxLinkLoss)/10)
 	}

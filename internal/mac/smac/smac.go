@@ -2,12 +2,16 @@
 // (its reference [8], Ye/Heidemann/Estrin), paired with AODV routing, on
 // the discrete-event kernel:
 //
-//   - periodic listen/sleep frames with a configurable duty cycle, all
-//     nodes on one synchronized schedule (one virtual cluster);
+//   - periodic listen/sleep frames with a configurable duty cycle, each
+//     node on its own random phase (no SYNC protocol), the sink always
+//     awake;
 //   - CSMA with randomized backoff inside a contention window, virtual
 //     carrier sense (NAV) from overheard RTS/CTS, and the
 //     RTS/CTS/DATA/ACK exchange, which may extend past the listen window
 //     as in S-MAC;
+//   - at most one data exchange started per node per frame, and only
+//     inside the node's own listen window (S-MAC's adaptive-listening
+//     extension is not modeled);
 //   - physical collisions: overlapping transmissions heard by a receiver
 //     corrupt each other (hidden terminals included);
 //   - AODV route discovery floods, data-driven refresh, and invalidation
@@ -73,11 +77,6 @@ type Config struct {
 	// DiscoveryTimeout is how long a node waits for an RREP before
 	// re-flooding.
 	DiscoveryTimeout time.Duration
-	// AdaptiveListen enables S-MAC's adaptive-listening extension: a
-	// node that takes part in (or overhears) an exchange stays awake
-	// briefly afterwards and may immediately contend again, so a
-	// multi-hop packet can advance several hops per frame instead of one.
-	AdaptiveListen bool
 	// Seed drives backoff and jitter randomness.
 	Seed int64
 }
@@ -375,15 +374,6 @@ func (m Metrics) ThroughputBps(window time.Duration, dataBytes int) float64 {
 
 // --- physical layer ---
 
-// canContend reports whether nd may initiate at time t: inside its listen
-// window, or — with adaptive listening — inside an engaged extension.
-func (nd *node) canContend(t time.Duration) bool {
-	if nd.listening(t) {
-		return true
-	}
-	return nd.net.cfg.AdaptiveListen && nd.engagedUntil >= t
-}
-
 // listening reports whether t falls inside nd's own listen window.
 func (nd *node) listening(t time.Duration) bool {
 	if nd.alwaysOn {
@@ -521,7 +511,7 @@ func (nd *node) kick() {
 		return
 	}
 	now := nd.now()
-	if !nd.canContend(now) {
+	if !nd.listening(now) {
 		return // will be kicked at the next frame start
 	}
 	backoff := time.Duration(nd.net.rng.Intn(nd.net.cfg.CWSlots)) * nd.net.cfg.CWSlot
@@ -538,7 +528,7 @@ func (nd *node) attempt() {
 	if len(nd.queue) == 0 || nd.busyUntil > now || nd.sentThisFrame {
 		return
 	}
-	if !nd.canContend(now) {
+	if !nd.listening(now) {
 		return // missed the window; next frame
 	}
 	nd.net.count(MetricContention)
@@ -548,7 +538,7 @@ func (nd *node) attempt() {
 		if resume <= now {
 			resume = now + cfg.CWSlot
 		}
-		if nd.canContend(resume) {
+		if nd.listening(resume) {
 			nd.attemptScheduled = true
 			nd.net.eng.At(resume, func() {
 				nd.attemptScheduled = false
@@ -647,13 +637,6 @@ func (nd *node) overhear(tx *transmission) {
 		if until > nd.navUntil {
 			nd.navUntil = until
 		}
-		if nd.net.cfg.AdaptiveListen {
-			// Adaptive listening: wake briefly after the overheard
-			// exchange in case its receiver forwards the packet onward
-			// through us.
-			cfg := nd.net.cfg
-			nd.engage(until + cfg.exchangeDur() + time.Duration(cfg.CWSlots)*cfg.CWSlot)
-		}
 	}
 }
 
@@ -708,13 +691,6 @@ func (nd *node) receive(tx *transmission) {
 		// Forward toward the sink.
 		if len(nd.queue) < cfg.QueueCap {
 			nd.queue = append(nd.queue, tx.pl.data)
-			if cfg.AdaptiveListen {
-				// Adaptive listening: stay awake past the exchange and
-				// forward immediately instead of waiting for the next
-				// frame.
-				nd.sentThisFrame = false
-				nd.engage(now + cfg.exchangeDur() + time.Duration(cfg.CWSlots)*cfg.CWSlot)
-			}
 			nd.kick()
 		} else if nd.net.warmupDone {
 			nd.net.m.Drops++

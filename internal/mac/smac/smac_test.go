@@ -14,7 +14,7 @@ import (
 func lineMedium() *radio.Medium {
 	pos := []geom.Point{{X: 0, Y: 0}, {X: 25, Y: 0}, {X: 50, Y: 0}}
 	med := radio.NewMedium(radio.NewTwoRay(), pos)
-	p := radio.TxPowerForRange(radio.NewTwoRay(), 30, med.RxThreshold)
+	p := radio.TxPowerForRange(radio.NewTwoRay(), 30, radio.DefaultRxThreshold)
 	for i := range pos {
 		med.SetTxPower(i, p)
 	}
@@ -185,7 +185,7 @@ func TestHiddenTerminalCollisions(t *testing.T) {
 	// observe collisions (RTS/RTS at least, surfacing as retries/ctrl).
 	pos := []geom.Point{{X: 0, Y: 0}, {X: -25, Y: 0}, {X: 25, Y: 0}}
 	med := radio.NewMedium(radio.NewTwoRay(), pos)
-	p := radio.TxPowerForRange(radio.NewTwoRay(), 30, med.RxThreshold)
+	p := radio.TxPowerForRange(radio.NewTwoRay(), 30, radio.DefaultRxThreshold)
 	for i := range pos {
 		med.SetTxPower(i, p)
 	}

@@ -46,10 +46,10 @@ func slowGroupCompatible(m *Medium, txs []Transmission) bool {
 			return false
 		}
 		signal := m.uncachedReceivedPower(t.From, t.To)
-		if signal < m.RxThreshold {
+		if signal < DefaultRxThreshold {
 			return false
 		}
-		interference := m.NoiseFloor
+		interference := DefaultNoiseFloor
 		ok := true
 		for j, o := range txs {
 			if j == i {
@@ -61,7 +61,7 @@ func slowGroupCompatible(m *Medium, txs []Transmission) bool {
 			}
 			interference += m.uncachedReceivedPower(o.From, t.To)
 		}
-		if !ok || signal < m.CaptureRatio*interference {
+		if !ok || signal < DefaultCaptureRatio*interference {
 			return false
 		}
 	}

@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"sort"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // cellGrid is a uniform spatial hash over the medium's node positions:
 // nodes bucketed into square cells, stored CSR-style (one flat id array
@@ -114,12 +110,3 @@ func (g *cellGrid) appendWithin(pos []geom.Point, center geom.Point, r float64, 
 	}
 	return out
 }
-
-// int32s sorts ids ascending.
-type int32s []int32
-
-func (a int32s) Len() int           { return len(a) }
-func (a int32s) Less(i, j int) bool { return a[i] < a[j] }
-func (a int32s) Swap(i, j int)      { a[i], a[j] = a[j], a[i] }
-
-func sortInt32(a []int32) { sort.Sort(int32s(a)) }

@@ -27,7 +27,7 @@ func (m *Medium) Quality(tx, rx int) LinkQuality {
 	if pr <= 0 {
 		return LinkQuality{MarginDB: math.Inf(-1), LossProb: 1}
 	}
-	margin := 10 * math.Log10(pr/m.RxThreshold)
+	margin := 10 * math.Log10(pr/DefaultRxThreshold)
 	return LinkQuality{MarginDB: margin, LossProb: LossFromMargin(margin)}
 }
 

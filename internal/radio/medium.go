@@ -3,28 +3,26 @@ package radio
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
 
-// pairFloorDivisor sets the medium's pair floor below its lowest decision
-// threshold: links whose received power can reach min(RxThreshold,
-// CSThreshold)/pairFloorDivisor (6 dB of slack) are materialized, so
-// every threshold decision — and the dominant interference terms weighed
-// against the capture ratio — resolves from the sparse store, while
-// weaker pairs take the analytic fallback.
-const pairFloorDivisor = 4
+// pairFloor is the weakest received power worth materializing: 6 dB
+// below the lowest decision threshold (DefaultCSThreshold, under
+// DefaultRxThreshold), so every threshold decision — and the dominant
+// interference terms weighed against the capture ratio — resolves from
+// the sparse store, while weaker pairs take the analytic fallback.
+const pairFloor = DefaultCSThreshold / 4
 
-// DefaultShadowMarginDB is the cutoff headroom reserved for per-link
-// shadowing on a LogDistance model. Together with the pair floor's 6 dB
-// it gives 22 dB of materialization headroom; HashShadow's Irwin-Hall
-// draw is bounded by ±3.465 sigma, so sigma up to ~6.3 dB is covered. A
-// custom ShadowDB that can boost links by more should raise
-// Medium.ShadowMarginDB before transmit powers are assigned. (Keeping the
-// margin tight matters: every extra 10 dB inflates each node's cutoff
+// shadowMarginDB is the cutoff headroom reserved for per-link shadowing
+// on a LogDistance model. Together with the pair floor's 6 dB it gives
+// 22 dB of materialization headroom; HashShadow's Irwin-Hall draw is
+// bounded by ±3.465 sigma, so sigma up to ~6.3 dB is covered. (Keeping
+// the margin tight matters: every extra 10 dB inflates each node's cutoff
 // disc — and the materialized pair count — by 10^(2/n) in area for a
 // path-loss exponent n.)
-const DefaultShadowMarginDB = 16
+const shadowMarginDB = 16.0 // a float: shadowMarginDB/10 must be 1.6, not 1
 
 // Medium is the shared wireless channel: node positions, per-node transmit
 // powers, a propagation model, and SINR-based reception with accumulated
@@ -63,23 +61,11 @@ type Medium struct {
 
 	// cutoffRange memo: applyPowers-style loops set the same power on
 	// every sensor, so the bisection runs once per distinct power.
-	memoPower, memoFloor, memoRadius float64
+	memoPower, memoRadius float64
 
 	pairs     int    // materialized directed links, kept current by refreshRow
 	refreshed uint64 // cumulative link power recomputations
 	powerRev  uint64 // see PowerRev
-
-	RxThreshold  float64 // minimum received power for decoding, watts
-	CaptureRatio float64 // linear SINR required to capture
-	NoiseFloor   float64 // ambient noise, watts
-	CSThreshold  float64 // carrier-sense threshold, watts (for CSMA MACs)
-	// ShadowMarginDB widens each node's materialization cutoff to absorb
-	// per-link shadowing boosts (only consulted for LogDistance models).
-	// Set it before transmit powers are assigned; rows built earlier keep
-	// their cutoffs until the next SetTxPower. Raising it never changes
-	// any answer — far pairs are answered analytically either way — it
-	// only moves pairs between the cached and fallback paths.
-	ShadowMarginDB float64
 }
 
 // mediumRow is one transmitter's materialized slice of the power matrix:
@@ -100,15 +86,10 @@ type mediumRow struct {
 // start with zero transmit power; set them with SetTxPower.
 func NewMedium(prop Propagation, pos []geom.Point) *Medium {
 	m := &Medium{
-		prop:           prop,
-		pos:            append([]geom.Point(nil), pos...),
-		txPower:        make([]float64, len(pos)),
-		rows:           make([]mediumRow, len(pos)),
-		RxThreshold:    DefaultRxThreshold,
-		CaptureRatio:   DefaultCaptureRatio,
-		NoiseFloor:     DefaultNoiseFloor,
-		CSThreshold:    DefaultRxThreshold / 20,
-		ShadowMarginDB: DefaultShadowMarginDB,
+		prop:    prop,
+		pos:     append([]geom.Point(nil), pos...),
+		txPower: make([]float64, len(pos)),
+		rows:    make([]mediumRow, len(pos)),
 	}
 	m.ld, _ = prop.(*LogDistance)
 	m.bounds = boundsOf(m.pos)
@@ -156,10 +137,10 @@ func (m *Medium) SetTxPower(i int, watts float64) {
 // function of positions, transmit powers and the propagation model, and
 // the last two change only through SetTxPower and Refresh (a mutated
 // model is Refreshed before the next query, and the decision thresholds
-// are fixed once powers are assigned). So while PowerRev holds, every
-// answer the medium gives — every GroupCompatible verdict included —
-// stays the same, and a verdict cache keyed on the medium and PowerRev
-// never goes stale.
+// are package constants). So while PowerRev holds, every answer the
+// medium gives — every GroupCompatible verdict included — stays the
+// same, and a verdict cache keyed on the medium and PowerRev never goes
+// stale.
 //
 // The rule is deliberately coarse: a Refresh moves it even over empty
 // rows, where Stats().Refreshed stays put but analytic far-pair powers
@@ -241,7 +222,7 @@ func (m *Medium) refreshRow(tx int) {
 				row.nbr = append(row.nbr, int32(v))
 			}
 		}
-		sortInt32(row.nbr)
+		slices.Sort(row.nbr)
 		for _, rx := range row.nbr {
 			row.pw = append(row.pw, m.uncachedReceivedPower(tx, int(rx)))
 		}
@@ -249,16 +230,6 @@ func (m *Medium) refreshRow(tx int) {
 	m.pairs += len(row.nbr)
 	m.refreshed += uint64(len(row.nbr))
 	row.full = len(row.nbr) == len(m.pos)
-}
-
-// pairFloor is the weakest received power worth materializing: a margin
-// below the lowest threshold any decision compares against.
-func (m *Medium) pairFloor() float64 {
-	f := m.RxThreshold
-	if m.CSThreshold < f {
-		f = m.CSThreshold
-	}
-	return f / pairFloorDivisor
 }
 
 // cutoffRange returns node tx's materialization radius: the distance out
@@ -270,18 +241,17 @@ func (m *Medium) cutoffRange(tx int) float64 {
 	if p <= 0 {
 		return 0
 	}
-	if m.ld != nil && m.ShadowMarginDB > 0 {
-		p *= math.Pow(10, m.ShadowMarginDB/10)
+	if m.ld != nil {
+		p *= math.Pow(10, shadowMarginDB/10)
 	}
-	floor := m.pairFloor()
-	if p == m.memoPower && floor == m.memoFloor {
+	if p == m.memoPower {
 		return m.memoRadius
 	}
-	r := MaxRange(m.prop, p, floor)
+	r := MaxRange(m.prop, p, pairFloor)
 	if max := m.diag + 1; r > max {
 		r = max
 	}
-	m.memoPower, m.memoFloor, m.memoRadius = p, floor, r
+	m.memoPower, m.memoRadius = p, r
 	return r
 }
 
@@ -381,7 +351,7 @@ func (m *Medium) InRange(tx, rx int) bool {
 		return false
 	}
 	pr := m.ReceivedPower(tx, rx)
-	return pr >= m.RxThreshold && pr >= m.CaptureRatio*m.NoiseFloor
+	return pr >= DefaultRxThreshold && pr >= DefaultCaptureRatio*DefaultNoiseFloor
 }
 
 // Carries reports whether rx senses carrier from tx (for CSMA MACs).
@@ -389,7 +359,7 @@ func (m *Medium) Carries(tx, rx int) bool {
 	if tx == rx {
 		return false
 	}
-	return m.ReceivedPower(tx, rx) >= m.CSThreshold
+	return m.ReceivedPower(tx, rx) >= DefaultCSThreshold
 }
 
 // Transmission is one intended packet transfer on the medium.
@@ -403,8 +373,8 @@ func (t Transmission) String() string { return fmt.Sprintf("%d->%d", t.From, t.T
 // Receives decides whether the transmission txs[i] is successfully decoded
 // when all the transmissions in txs are concurrent, using SINR with
 // accumulated interference: the intended signal must meet the reception
-// threshold and exceed CaptureRatio times (noise + the sum of all other
-// concurrent signals heard at the receiver). A receiver that is itself
+// threshold and exceed DefaultCaptureRatio times (noise + the sum of all
+// other concurrent signals heard at the receiver). A receiver that is itself
 // transmitting, or that is the target of two concurrent transmissions,
 // never decodes (sensors are half-duplex single-radio devices).
 func (m *Medium) Receives(txs []Transmission, i int) bool {
@@ -427,11 +397,11 @@ func (m *Medium) Receives(txs []Transmission, i int) bool {
 	} else {
 		signal = m.powerSparse(t.From, t.To)
 	}
-	if signal < m.RxThreshold {
+	if signal < DefaultRxThreshold {
 		return false
 	}
 	col := t.To
-	interference := m.NoiseFloor
+	interference := DefaultNoiseFloor
 	for j := range txs {
 		if j == i {
 			continue
@@ -449,7 +419,7 @@ func (m *Medium) Receives(txs []Transmission, i int) bool {
 			interference += m.powerSparse(o.From, col)
 		}
 	}
-	return signal >= m.CaptureRatio*interference
+	return signal >= DefaultCaptureRatio*interference
 }
 
 // GroupCompatible reports whether every transmission in txs succeeds when
@@ -475,7 +445,6 @@ func (m *Medium) GroupCompatible(txs []Transmission) bool {
 			}
 		}
 	}
-	threshold, capture, noise := m.RxThreshold, m.CaptureRatio, m.NoiseFloor
 	rows := m.rows
 	for i := range txs {
 		t := txs[i]
@@ -486,11 +455,11 @@ func (m *Medium) GroupCompatible(txs []Transmission) bool {
 		} else {
 			signal = m.powerSparse(t.From, t.To)
 		}
-		if signal < threshold {
+		if signal < DefaultRxThreshold {
 			return false
 		}
 		col := t.To
-		interference := noise
+		interference := DefaultNoiseFloor
 		for j := range txs {
 			if j == i {
 				continue
@@ -505,7 +474,7 @@ func (m *Medium) GroupCompatible(txs []Transmission) bool {
 				interference += m.powerSparse(o.From, col)
 			}
 		}
-		if signal < capture*interference {
+		if signal < DefaultCaptureRatio*interference {
 			return false
 		}
 	}

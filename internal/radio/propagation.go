@@ -33,8 +33,11 @@ const (
 	// over accumulated interference (NS-2 CPThresh_ = 10 dB).
 	DefaultCaptureRatio = 10.0
 	// DefaultNoiseFloor is the ambient noise power in watts; small against
-	// RxThreshold so that noise alone never blocks an in-range link.
+	// DefaultRxThreshold so that noise alone never blocks an in-range link.
 	DefaultNoiseFloor = 1e-13
+	// DefaultCSThreshold is the carrier-sense threshold in watts (for
+	// CSMA MACs), 13 dB below DefaultRxThreshold.
+	DefaultCSThreshold = DefaultRxThreshold / 20
 )
 
 // Propagation computes received power as a function of transmit power and

@@ -25,11 +25,11 @@ func checkAllPairs(t *testing.T, m *Medium, stage string) {
 			if got != want {
 				t.Fatalf("%s: ReceivedPower(%d,%d) = %g, oracle %g", stage, tx, rx, got, want)
 			}
-			wantIn := tx != rx && want >= m.RxThreshold && want >= m.CaptureRatio*m.NoiseFloor
+			wantIn := tx != rx && want >= DefaultRxThreshold && want >= DefaultCaptureRatio*DefaultNoiseFloor
 			if m.InRange(tx, rx) != wantIn {
 				t.Fatalf("%s: InRange(%d,%d) = %v, oracle %v", stage, tx, rx, !wantIn, wantIn)
 			}
-			wantCarry := tx != rx && want >= m.CSThreshold
+			wantCarry := tx != rx && want >= DefaultCSThreshold
 			if m.Carries(tx, rx) != wantCarry {
 				t.Fatalf("%s: Carries(%d,%d) = %v, oracle %v", stage, tx, rx, !wantCarry, wantCarry)
 			}
@@ -75,7 +75,7 @@ func TestNeighborRowsCoverThresholdLinks(t *testing.T) {
 		for _, prop := range propModels(seed) {
 			n := 20 + rng.Intn(40)
 			m := randomMedium(rng, n, prop)
-			minThreshold := math.Min(m.RxThreshold, m.CSThreshold)
+			minThreshold := math.Min(DefaultRxThreshold, DefaultCSThreshold)
 			for tx := 0; tx < n; tx++ {
 				row := m.Neighbors(tx)
 				for rx := 0; rx < n; rx++ {
@@ -284,5 +284,29 @@ func TestHotPathAllocs(t *testing.T) {
 		o.Compatible(txs)
 	}); allocs != 0 {
 		t.Errorf("TestedOracle hit: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestCutoffHeadroom pins each row's materialization radius at the
+// distance its power reaches the pair floor, 6 dB under carrier sense,
+// plus the 16 dB shadow margin on a LogDistance model: 22 dB of
+// headroom, which keeps every threshold link of HashShadow's ±3.465σ
+// draw materialized for σ up to 6.3 dB.
+func TestCutoffHeadroom(t *testing.T) {
+	pos := []geom.Point{{X: 0, Y: 0}, {X: 1e4, Y: 0}} // wide bounds: no diagonal cap
+	for _, tc := range []struct {
+		prop  Propagation
+		boost float64
+	}{
+		{NewTwoRay(), 1},
+		{NewLogDistance(3.2, 1), math.Pow(10, 1.6)},
+	} {
+		m := NewMedium(tc.prop, pos)
+		p := TxPowerForRange(tc.prop, 40, DefaultRxThreshold)
+		m.SetTxPower(0, p)
+		want := MaxRange(tc.prop, p*tc.boost, DefaultRxThreshold/80)
+		if got := m.rows[0].radius; got != want {
+			t.Errorf("%T: cutoff radius %v, want %v", tc.prop, got, want)
+		}
 	}
 }

@@ -269,9 +269,6 @@ type Options struct {
 	// two first-level sensors must be able to overlap (one sending to the
 	// head while the other receives). Nil skips the rule.
 	Oracle radio.CompatibilityOracle
-	// NoPairing disables branch pairing, leaving one sector per
-	// first-level branch (useful as a baseline).
-	NoPairing bool
 }
 
 // BuildPartition runs the paper's heuristic: flow-merge the routes into a
@@ -286,7 +283,7 @@ func BuildPartition(g *graph.Undirected, head int, routes map[int][]int, demand 
 	}
 	branches := Branches(parent, head, demand)
 	p := &Partition{Head: head, Parent: parent}
-	if opt.NoPairing || len(branches) <= 1 {
+	if len(branches) <= 1 {
 		for _, b := range branches {
 			p.Sectors = append(p.Sectors, b.Members)
 			p.Roots = append(p.Roots, []int{b.Root})

@@ -175,21 +175,6 @@ func TestBuildPartitionPairsBranches(t *testing.T) {
 	}
 }
 
-func TestBuildPartitionNoPairing(t *testing.T) {
-	g := twoBranchCluster()
-	routes := map[int][]int{
-		1: {1, 0}, 2: {2, 0}, 3: {3, 1, 0}, 4: {4, 2, 0},
-	}
-	demand := []int{0, 1, 1, 1, 1}
-	p, err := BuildPartition(g, 0, routes, demand, Options{NoPairing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NSectors() != 2 {
-		t.Fatalf("sectors = %v", p.Sectors)
-	}
-}
-
 func TestBuildPartitionDisconnectedBranchesStaySeparate(t *testing.T) {
 	// No edge between the branches: rule 1 forbids pairing.
 	g := graph.NewUndirected(5)

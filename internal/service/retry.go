@@ -34,28 +34,13 @@ const (
 
 // retryPolicy is the resolved per-job retry contract.
 type retryPolicy struct {
-	maxAttempts int           // total run attempts before dead-letter; 1 = legacy fail-fast
-	backoff     time.Duration // base delay after the first failure
-	backoffMax  time.Duration // backoff growth cap (before jitter)
-}
-
-// delay returns the park duration after the nth consecutive failure
-// (n >= 1): min(backoff * 2^(n-1), backoffMax) plus deterministic jitter
-// in [0, 50%) of the capped delay. The jitter is a pure function of
-// (seed, n) so a given job replays the identical backoff schedule on
-// every daemon — reproducibility is the service's house rule, and it
-// makes the schedule testable. The math lives in internal/backoff so the
-// distributed field coordinator retries shard reassignments on the exact
-// same schedule.
-func (p retryPolicy) delay(n int, seed uint64) time.Duration {
-	return backoff.Policy{Base: p.backoff, Max: p.backoffMax}.Delay(n, seed)
-}
-
-// jitterSeed derives a job's backoff-jitter seed from its ID, so two
-// jobs with the same spec (same fingerprint) still spread their retries
-// instead of thundering back in lockstep.
-func jitterSeed(id string) uint64 {
-	return backoff.SeedString(id)
+	maxAttempts int // total run attempts before dead-letter; 1 = legacy fail-fast
+	// backoff spaces the attempts. Its jitter is a pure function of the
+	// job's seed and the failure count, so a given job replays the
+	// identical backoff schedule on every daemon — reproducibility is the
+	// service's house rule — and the distributed field coordinator
+	// retries shard reassignments on the same schedule.
+	backoff backoff.Policy
 }
 
 // specFingerprint canonically hashes a spec (its JSON form — field order

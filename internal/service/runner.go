@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/field"
@@ -701,7 +702,10 @@ func (m *Manager) handleFailure(j *Job, runErr error) {
 		x.Error = runErr.Error()
 		switch {
 		case x.Failures < pol.maxAttempts:
-			delay = pol.delay(x.Failures, jitterSeed(x.ID))
+			// Seeding the jitter from the job ID spreads the retries of
+			// jobs with the same spec instead of sending them back in
+			// lockstep.
+			delay = pol.backoff.Delay(x.Failures, backoff.SeedString(x.ID))
 			nr := now.Add(delay)
 			x.State = StateQueued
 			x.RetryState = RetryBackoff

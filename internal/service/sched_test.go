@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // fakeClock is an adjustable time source for scheduler/breaker tests.
@@ -187,33 +189,34 @@ func TestSchedulerClose(t *testing.T) {
 	}
 }
 
-// TestRetryDelaySchedule pins the backoff formula: doubling from the
-// base, capped, with deterministic jitter in [0, 50%) — the same (seed,
-// n) always yields the same delay.
+// TestRetryDelaySchedule pins the backoff formula of a resolved retry
+// block: doubling from the base, capped, with deterministic jitter in
+// [0, 50%) — the same (seed, n) always yields the same delay.
 func TestRetryDelaySchedule(t *testing.T) {
-	p := retryPolicy{maxAttempts: 10, backoff: 100 * time.Millisecond, backoffMax: 800 * time.Millisecond}
-	seed := jitterSeed("job-a")
+	spec := Spec{Retry: &RetrySpec{MaxAttempts: 10, BackoffMS: 100, MaxBackoffMS: 800}}
+	p := spec.retryPolicy().backoff
+	seed := backoff.SeedString("job-a")
 	base := []time.Duration{100, 200, 400, 800, 800, 800} // ms, capped at 800
 	for i, b := range base {
 		n := i + 1
 		want := b * time.Millisecond
-		d := p.delay(n, seed)
+		d := p.Delay(n, seed)
 		if d < want || d >= want+want/2 {
 			t.Fatalf("delay(%d) = %s outside [%s, %s)", n, d, want, want+want/2)
 		}
-		if again := p.delay(n, seed); again != d {
+		if again := p.Delay(n, seed); again != d {
 			t.Fatalf("delay(%d) not deterministic: %s then %s", n, d, again)
 		}
 	}
 	// Different seeds de-synchronize the jitter (with overwhelming
 	// probability some attempt differs).
-	other := jitterSeed("job-b")
+	other := backoff.SeedString("job-b")
 	if other == seed {
 		t.Fatal("distinct job IDs hashed to the same jitter seed")
 	}
 	same := true
 	for n := 1; n <= 6; n++ {
-		if p.delay(n, seed) != p.delay(n, other) {
+		if p.Delay(n, seed) != p.Delay(n, other) {
 			same = false
 		}
 	}

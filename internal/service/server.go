@@ -152,6 +152,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: " + err.Error()})
 		return
 	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: trailing data after the spec"})
+		return
+	}
 	j, err := s.m.Submit(spec)
 	switch {
 	case errors.Is(err, ErrBadSpec):

@@ -267,7 +267,7 @@ func TestHTTPLifecycle(t *testing.T) {
 }
 
 // TestHTTPErrors covers the 4xx surface: bad JSON, unknown fields,
-// unknown job, cancel conflicts and queue backpressure.
+// bytes after the spec, unknown job, cancel conflicts and queue backpressure.
 func TestHTTPErrors(t *testing.T) {
 	ts, m := newTestServer(t, 1, 1)
 
@@ -276,6 +276,8 @@ func TestHTTPErrors(t *testing.T) {
 		"{not json",
 		`{"type":"field"}`,
 		`{"type":"field","bogus_field":1}`,
+		`{"type":"probe","probe":{}}{"type":"field"}`,
+		`{"type":"probe","probe":{}} garbage`,
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/field"
@@ -209,20 +210,23 @@ func (s *Spec) retryPolicy() retryPolicy {
 	}
 	p := retryPolicy{
 		maxAttempts: r.MaxAttempts,
-		backoff:     time.Duration(r.BackoffMS) * time.Millisecond,
-		backoffMax:  time.Duration(r.MaxBackoffMS) * time.Millisecond,
+		backoff: backoff.Policy{
+			Base: time.Duration(r.BackoffMS) * time.Millisecond,
+			Max:  time.Duration(r.MaxBackoffMS) * time.Millisecond,
+		},
 	}
 	if p.maxAttempts == 0 {
 		p.maxAttempts = defaultRetryAttempts
 	}
-	if p.backoff == 0 {
-		p.backoff = defaultRetryBackoff
+	b := &p.backoff
+	if b.Base == 0 {
+		b.Base = defaultRetryBackoff
 	}
-	if p.backoffMax == 0 {
-		p.backoffMax = defaultRetryBackoffMax
+	if b.Max == 0 {
+		b.Max = defaultRetryBackoffMax
 	}
-	if p.backoffMax < p.backoff {
-		p.backoffMax = p.backoff
+	if b.Max < b.Base {
+		b.Max = b.Base
 	}
 	return p
 }
@@ -540,16 +544,12 @@ func (ss *SweepSpec) run(o exp.Options) ([]byte, error) {
 		pts, err = exp.Fig7c(o, cfg)
 		points, table = pts, exp.RenderFig7c(pts)
 	case SweepCapacity:
-		nodes := []int{10, 20, 30, 40, 60, 80, 100}
-		seeds := []int64{1, 2}
+		cfg := exp.DefaultCapacity()
 		if ss.Quick {
-			nodes = []int{10, 30}
-			seeds = []int64{1}
+			cfg = exp.QuickCapacity()
 		}
-		p := exp.DefaultFig7a().Params
-		p.LossProb = 0
 		var rows []exp.CapacityRow
-		rows, err = exp.Capacity(o, nodes, seeds, p)
+		rows, err = exp.Capacity(o, cfg)
 		points, table = rows, exp.RenderCapacity(rows)
 	default:
 		return nil, fmt.Errorf("service: unknown sweep fig %q", ss.Fig)

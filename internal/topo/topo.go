@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -142,7 +143,7 @@ func build(cfg Config, prop radio.Propagation, rng *rand.Rand) *Cluster {
 // is set, the *reliable* range (loss <= MaxLinkLoss) equals the configured
 // range, not merely the decode threshold.
 func applyPowers(med *radio.Medium, cfg Config, prop radio.Propagation) {
-	target := med.RxThreshold
+	target := radio.DefaultRxThreshold
 	if cfg.MaxLinkLoss > 0 && cfg.MaxLinkLoss < 1 {
 		if marginDB := radio.MarginForLoss(cfg.MaxLinkLoss); marginDB > 0 {
 			target *= math.Pow(10, marginDB/10)
@@ -162,10 +163,10 @@ func applyPowers(med *radio.Medium, cfg Config, prop radio.Propagation) {
 // Instead of scanning all pairs, it walks the medium's sparse neighbor
 // rows: a receiver absent from u's row lies beyond u's materialization
 // cutoff, so u's signal there is below the pair floor — a margin under
-// RxThreshold even with the shadowing headroom — and the link cannot be
-// InRange, let alone Reliable. Each unordered pair is visited at most
-// once (v > u within u's row), which lets the insert skip AddEdge's
-// duplicate scan. The revision is bumped only when the rebuild actually
+// DefaultRxThreshold even with the shadowing headroom — and the link
+// cannot be InRange, let alone Reliable. Each unordered pair is visited
+// at most once (v > u within u's row), which lets the insert skip
+// AddEdge's duplicate scan. The revision is bumped only when the rebuild actually
 // changed the graph.
 func (c *Cluster) rebuildGraph() {
 	n := c.Med.N()
@@ -559,7 +560,7 @@ func (f *Field) ClusterGraph(interferenceRange float64) *graph.Undirected {
 				}
 			}
 		}
-		sortInt32(cand)
+		slices.Sort(cand)
 		ci := f.Assign[i]
 		for _, j32 := range cand {
 			j := int(j32)
@@ -572,21 +573,6 @@ func (f *Field) ClusterGraph(interferenceRange float64) *graph.Undirected {
 		}
 	}
 	return g
-}
-
-// sortInt32 is an allocation-free insertion/shell hybrid for the short
-// candidate lists ClusterGraph gathers per sensor.
-func sortInt32(s []int32) {
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			v := s[i]
-			j := i
-			for ; j >= gap && s[j-gap] > v; j -= gap {
-				s[j] = s[j-gap]
-			}
-			s[j] = v
-		}
-	}
 }
 
 // ChannelAssignment colors the cluster graph with the smallest-degree-last

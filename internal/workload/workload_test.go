@@ -89,71 +89,3 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestPoissonMeanMatchesRate(t *testing.T) {
-	p := NewPoisson(4, 40, 80, 9)
-	cycle := 4 * time.Second
-	total := 0
-	const cycles = 500
-	for i := 0; i < cycles; i++ {
-		for _, k := range p.NextCycle(cycle) {
-			total += k
-		}
-	}
-	// Mean = 40*4/80 = 2 packets/sensor/cycle; 4 sensors x 500 cycles.
-	want := 2.0 * 4 * cycles
-	if math.Abs(float64(total)-want) > 0.1*want {
-		t.Fatalf("total %d far from mean %v", total, want)
-	}
-}
-
-func TestPoissonVariability(t *testing.T) {
-	p := NewPoisson(1, 40, 80, 3)
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		seen[p.NextCycle(4 * time.Second)[0]] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("Poisson draws show only %d distinct values", len(seen))
-	}
-}
-
-func TestPoissonDeterministicPerSeed(t *testing.T) {
-	a := NewPoisson(3, 40, 80, 7)
-	b := NewPoisson(3, 40, 80, 7)
-	for i := 0; i < 20; i++ {
-		av, bv := a.NextCycle(time.Second), b.NextCycle(time.Second)
-		for j := range av {
-			if av[j] != bv[j] {
-				t.Fatal("same seed should give same draws")
-			}
-		}
-	}
-}
-
-func TestPoissonZeroRate(t *testing.T) {
-	p := NewPoisson(2, 0, 80, 1)
-	for _, k := range p.NextCycle(time.Second) {
-		if k != 0 {
-			t.Fatal("zero rate should produce nothing")
-		}
-	}
-}
-
-func TestPoissonPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewPoisson(-1, 1, 80, 1) },
-		func() { NewPoisson(1, -1, 80, 1) },
-		func() { NewPoisson(1, 1, 0, 1) },
-		func() { NewPoisson(1, 1, 80, 1).NextCycle(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
