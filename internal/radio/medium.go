@@ -235,7 +235,10 @@ func (m *Medium) refreshRow(tx int) {
 // cutoffRange returns node tx's materialization radius: the distance out
 // to which its signal (boosted by the shadow margin when the model can
 // shadow) can still reach the pair floor, capped at the deployment
-// diagonal. Pairs beyond it are answered analytically.
+// diagonal. Pairs beyond it are answered analytically. The radius comes
+// from the shadow-free path loss: the margin stands in for every link's
+// shadowing, so no single link's draw may move it — and the memo, keyed on
+// power alone, stays valid across shadow shifts.
 func (m *Medium) cutoffRange(tx int) float64 {
 	p := m.txPower[tx]
 	if p <= 0 {
@@ -247,7 +250,13 @@ func (m *Medium) cutoffRange(tx int) float64 {
 	if p == m.memoPower {
 		return m.memoRadius
 	}
-	r := MaxRange(m.prop, p, pairFloor)
+	prop := m.prop
+	if m.ld != nil {
+		free := *m.ld
+		free.ShadowDB = nil
+		prop = &free
+	}
+	r := MaxRange(prop, p, pairFloor)
 	if max := m.diag + 1; r > max {
 		r = max
 	}

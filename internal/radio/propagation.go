@@ -115,6 +115,15 @@ func (m *TwoRay) ReceivedPower(txPower, d float64) float64 {
 // per-link shadowing, approximating the "arbitrary" received powers the
 // paper cites from real measurements: Pr = Pt * (d0/d)^n * 10^(S/10) where
 // S is a per-link shadowing offset in dB supplied by the caller.
+//
+// The arithmetic avoids math.Pow, which costs an Exp and a Log, on the
+// common path: for a half-integer exponent n = k/2 (k in [0, 16]) the path
+// gain with r = d0/d is r·r·…·r (⌊k/2⌋ factors) times math.Sqrt(r) when k
+// is odd, and the shadowing factor is math.Exp(S·ln10/10). Other exponents
+// keep math.Pow. Powers differ from math.Pow's only in the last bits, and
+// the half-integer form is monotone non-increasing in d by construction —
+// a product of monotone, correctly rounded operations — which MaxRange's
+// bisection relies on and math.Pow does not promise.
 type LogDistance struct {
 	Exponent float64 // path loss exponent n (2 free space, ~4 urban)
 	D0       float64 // reference distance in meters
@@ -155,11 +164,29 @@ func (m *LogDistance) linkReceivedPower(txPower, d float64, from, to int) float6
 	if d < m.D0 {
 		d = m.D0
 	}
-	pr := txPower * m.P0Gain * math.Pow(m.D0/d, m.Exponent)
+	pr := txPower * m.P0Gain * m.pathGain(m.D0/d)
 	if m.ShadowDB != nil {
-		pr *= math.Pow(10, m.ShadowDB(from, to)/10)
+		pr *= math.Exp(m.ShadowDB(from, to) * (math.Ln10 / 10))
 	}
 	return pr
+}
+
+// pathGain returns r^Exponent: by repeated multiplication and one square
+// root when the exponent is a half-integer in [0, 8], by math.Pow
+// otherwise.
+func (m *LogDistance) pathGain(r float64) float64 {
+	k := 2 * m.Exponent
+	if k < 0 || k > 16 || k != math.Trunc(k) {
+		return math.Pow(r, m.Exponent)
+	}
+	g := 1.0
+	for i := 0; i < int(k)/2; i++ {
+		g *= r
+	}
+	if int(k)%2 == 1 {
+		g *= math.Sqrt(r)
+	}
+	return g
 }
 
 // HashShadow returns a deterministic per-link shadowing function for

@@ -77,6 +77,65 @@ func TestLogDistanceShadowing(t *testing.T) {
 	}
 }
 
+// TestLogDistanceMatchesPow pins LogDistance's Pow-free arithmetic against
+// the math.Pow formula Pr = Pt * P0 * (d0/d)^n * 10^(S/10): the powers may
+// differ only in the last bits, the half-integer form must be monotone
+// non-increasing in d (MaxRange's bisection relies on it), and the d <= 0
+// and d < d0 branches keep their exact values.
+func TestLogDistanceMatchesPow(t *testing.T) {
+	const pt = 0.1
+	for _, n := range []float64{2, 2.5, 3, 3.2, 3.5, 4} {
+		m := NewLogDistance(n, 1)
+		for _, s := range []float64{-15, -7.3, -0.4, 0, 2.9, 15} {
+			m.ShadowDB = func(int, int) float64 { return s }
+			for d := m.D0 / 2; d <= 5000; d *= 1.01 {
+				pr := pt * m.P0Gain * math.Pow(m.D0/math.Max(d, m.D0), n)
+				pr *= math.Pow(10, s/10)
+				got := m.linkReceivedPower(pt, d, 3, 4)
+				if rel := math.Abs(got-pr) / pr; rel > 1e-14 {
+					t.Fatalf("n=%v S=%v d=%v: power %v, math.Pow formula %v (rel %.3g)", n, s, d, got, pr, rel)
+				}
+			}
+		}
+		m.ShadowDB = nil
+		for _, d := range []float64{0, -1} {
+			if got := m.linkReceivedPower(pt, d, 3, 4); got != pt {
+				t.Errorf("n=%v: power at d=%v is %v, want the tx power %v", n, d, got, pt)
+			}
+		}
+		for _, d := range []float64{m.D0 / 3, m.D0} {
+			if got := m.linkReceivedPower(pt, d, 3, 4); got != pt*m.P0Gain {
+				t.Errorf("n=%v: power at d=%v is %v, want the reference %v", n, d, got, pt*m.P0Gain)
+			}
+		}
+	}
+
+	for _, n := range []float64{0.5, 2, 2.5, 3, 3.5, 4, 8} {
+		m := NewLogDistance(n, 1)
+		for _, shadow := range []func(int, int) float64{nil, HashShadow(7, 6)} {
+			m.ShadowDB = shadow
+			last := math.Inf(1)
+			check := func(d float64) {
+				p := m.linkReceivedPower(pt, d, 3, 4)
+				if p > last {
+					t.Fatalf("n=%v shadowed=%v: power rises to %v at d=%v", n, shadow != nil, p, d)
+				}
+				last = p
+			}
+			for d := m.D0 / 2; d <= 5000; d *= 1 + 1e-4 {
+				check(d)
+			}
+			// Consecutive floats, where a rounding slip would show.
+			for _, d0 := range []float64{1.5, 7, 40, 333, 4321} {
+				last = math.Inf(1)
+				for d, i := d0, 0; i < 4096; d, i = math.Nextafter(d, math.Inf(1)), i+1 {
+					check(d)
+				}
+			}
+		}
+	}
+}
+
 func TestTxPowerForRangeRoundTrip(t *testing.T) {
 	for _, m := range []Propagation{NewFreeSpace(), NewTwoRay(), NewLogDistance(3.5, 1)} {
 		r := 30.0

@@ -3,6 +3,7 @@ package radio
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -210,8 +211,9 @@ func TestMediumStatsTrackRefreshes(t *testing.T) {
 	}
 }
 
-// FuzzSparsePowerMatchesOracle drives random geometry, powers and pair
-// picks through the sparse fast path and the analytic oracle.
+// FuzzSparsePowerMatchesOracle drives random geometry, powers, path-loss
+// exponents (half of them half-integers) and pair picks through the sparse
+// fast path and the analytic oracle.
 func FuzzSparsePowerMatchesOracle(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint16(600))
 	f.Add(int64(42), uint8(3), uint16(9))
@@ -219,7 +221,11 @@ func FuzzSparsePowerMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, pick uint16) {
 		n := 2 + int(nRaw)%60
 		rng := rand.New(rand.NewSource(seed))
-		ld := NewLogDistance(2.5+rng.Float64()*2, 1)
+		exp := 2.5 + rng.Float64()*2
+		if rng.Intn(2) == 0 { // the half-integer fast path
+			exp = []float64{2.5, 3, 3.5, 4, 4.5}[rng.Intn(5)]
+		}
+		ld := NewLogDistance(exp, 1)
 		ld.ShadowDB = HashShadow(seed, rng.Float64()*4)
 		m := randomMedium(rng, n, ld)
 		if rng.Intn(2) == 0 {
@@ -307,6 +313,60 @@ func TestCutoffHeadroom(t *testing.T) {
 		want := MaxRange(tc.prop, p*tc.boost, DefaultRxThreshold/80)
 		if got := m.rows[0].radius; got != want {
 			t.Errorf("%T: cutoff radius %v, want %v", tc.prop, got, want)
+		}
+	}
+}
+
+// TestCutoffIgnoresLinkShadow builds a medium on a model that already
+// shadows, with link (0,0) drawn 17 dB down. The rows' radii must come
+// from the shadow-free path loss: every carrier-sense link is
+// materialized, and the rows equal those of a medium built unshadowed and
+// then Refreshed.
+func TestCutoffIgnoresLinkShadow(t *testing.T) {
+	rng := rand.New(rand.NewSource(600))
+	pos := geom.UniformDeploy(rng, geom.Square(1200), 600)
+	hash := HashShadow(600, 6)
+	shadow := func(from, to int) float64 {
+		if from == 0 && to == 0 {
+			return -17
+		}
+		return hash(from, to)
+	}
+	p := TxPowerForRange(NewLogDistance(3.5, 1), 25, DefaultRxThreshold)
+	build := func(ld *LogDistance) *Medium {
+		m := NewMedium(ld, pos)
+		for i := range pos {
+			m.SetTxPower(i, p)
+		}
+		return m
+	}
+	shadowed := NewLogDistance(3.5, 1)
+	shadowed.ShadowDB = shadow
+	m := build(shadowed)
+	plain := NewLogDistance(3.5, 1)
+	ref := build(plain)
+	plain.ShadowDB = shadow
+	ref.Refresh()
+
+	missing, carriers := 0, 0
+	for tx := range pos {
+		for rx := range pos {
+			if tx == rx || m.uncachedReceivedPower(tx, rx) < DefaultCSThreshold {
+				continue
+			}
+			carriers++
+			if _, ok := slices.BinarySearch(m.Neighbors(tx), int32(rx)); !ok {
+				missing++
+			}
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d of %d carrier-sense links are not materialized", missing, carriers)
+	}
+	for tx := range pos {
+		got, want := m.rows[tx], ref.rows[tx]
+		if got.radius != want.radius || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.pw, want.pw) {
+			t.Fatalf("row %d: radius %v with %d links, want %v with %d", tx, got.radius, len(got.nbr), want.radius, len(want.nbr))
 		}
 	}
 }
