@@ -486,17 +486,15 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 		prof := &res.Profiles[v]
 		awake := window
 		polls := ackSlots + dataSlots + 2
+		dataTx, dataRx, lastData := dataStats.Node(v)
+		ackTx, ackRx, _ := ackStats.Node(v)
 		if p.EarlySleep {
-			lastData, active := dataStats.LastActive[v]
-			if !active {
-				lastData = -1
-			}
 			awake = pollT + time.Duration(ackSlots)*ackSlotDur +
 				time.Duration(lastData+1)*dataSlotDur
 			polls = 1 + ackSlots + lastData + 1
 		}
-		tx := time.Duration(dataStats.TxCount[v])*dataT + time.Duration(ackStats.TxCount[v])*ackT
-		rx := time.Duration(dataStats.RxCount[v])*dataT + time.Duration(ackStats.RxCount[v])*ackT +
+		tx := time.Duration(dataTx)*dataT + time.Duration(ackTx)*ackT
+		rx := time.Duration(dataRx)*dataT + time.Duration(ackRx)*ackT +
 			time.Duration(polls)*pollT
 		idle := awake - tx - rx
 		if idle < 0 {
@@ -516,14 +514,17 @@ func (r *Runner) runGroup(group []int, routes map[int][]int, packets []int,
 // buffers live in the runner's scratch.
 func (r *Runner) ackRequests(group []int, routes map[int][]int) ([]core.Request, error) {
 	scr := r.scr
-	if scr.indexOf == nil {
-		scr.indexOf = make(map[int]int, len(group))
-	} else {
-		clear(scr.indexOf)
-	}
 	for i, v := range group {
-		scr.indexOf[v] = i
+		for len(scr.indexOf) <= v {
+			scr.indexOf = append(scr.indexOf, -1)
+		}
+		scr.indexOf[v] = int32(i)
 	}
+	defer func() {
+		for _, v := range group {
+			scr.indexOf[v] = -1
+		}
+	}()
 	scr.subsets, scr.paths = scr.subsets[:0], scr.paths[:0]
 	for _, v := range group {
 		route := routes[v]
@@ -533,8 +534,8 @@ func (r *Runner) ackRequests(group []int, routes map[int][]int) ([]core.Request,
 		var elems []int
 		scr.subsets, elems = appendSubset(scr.subsets)
 		for _, x := range route[:len(route)-1] {
-			if i, ok := scr.indexOf[x]; ok {
-				elems = append(elems, i)
+			if x < len(scr.indexOf) && scr.indexOf[x] >= 0 {
+				elems = append(elems, int(scr.indexOf[x]))
 			}
 		}
 		scr.subsets[len(scr.subsets)-1] = graph.Subset{Elements: elems, Cost: float64(len(route) - 1)}

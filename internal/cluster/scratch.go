@@ -46,8 +46,10 @@ type RunnerScratch struct {
 	groups      [][]int
 	ack, data   core.GreedyScratch
 	dataReqs    []core.Request
-	// ackRequests buffers: the set-cover inputs and outputs.
-	indexOf map[int]int
+	// ackRequests buffers: the set-cover inputs and outputs. indexOf[v]
+	// is sensor v's position in the group being covered, -1 outside it;
+	// every entry is -1 between calls.
+	indexOf []int32
 	subsets []graph.Subset
 	paths   [][]int
 	ackReqs []core.Request

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/radio"
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -277,6 +278,32 @@ func TestRunnerKeepsLearnedStateWhileRadioUnchanged(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("sectors=%v, %s: rebuilt runner summary\n%v\nfresh\n%v", sectors, ch.name, got, want)
 			}
+		}
+	}
+}
+
+// TestAckRequestsForgetPreviousGroup covers one group after another on
+// one scratch: the second cover must equal a fresh scratch's, even
+// though its route passes relays that were members of the first group
+// and are not of the second.
+func TestAckRequestsForgetPreviousGroup(t *testing.T) {
+	routes := map[int][]int{1: {1, 0}, 2: {2, 1, 0}, 3: {3, 2, 1, 0}, 4: {4, 3, 2, 1, 0}}
+	kept := &Runner{scr: &RunnerScratch{}}
+	if _, err := kept.ackRequests([]int{1, 2, 3}, routes); err != nil {
+		t.Fatal(err)
+	}
+	for _, group := range [][]int{{4}, {4, 3}, {2}} {
+		got, err := kept.ackRequests(group, routes)
+		if err != nil {
+			t.Fatalf("group %v after another: %v", group, err)
+		}
+		got = append([]core.Request(nil), got...)
+		want, err := (&Runner{scr: &RunnerScratch{}}).ackRequests(group, routes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("group %v: kept scratch covers with %v, fresh with %v", group, got, want)
 		}
 	}
 }

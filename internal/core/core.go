@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/radio"
@@ -138,28 +139,50 @@ func (o *Options) maxConcurrent() int {
 	return 0
 }
 
-// Stats reports what physically happened during a polling run.
+// Stats reports what physically happened during a polling run. The
+// per-node books are slices indexed by node id, sized to one past the
+// largest node any request's route names; Node reads them for any id.
 type Stats struct {
 	// Slots is the realized makespan including retransmissions.
 	Slots int
 	// TxCount[v] counts packets node v actually transmitted.
-	TxCount map[int]int
+	TxCount []int
 	// RxCount[v] counts slots node v spent receiving (successful or not).
-	RxCount map[int]int
+	RxCount []int
 	// Retries counts re-polls caused by packet loss.
 	Retries int
 	// LastActive[v] is the last slot index in which v transmitted or
-	// received; sensors absent from the map were never active. The
-	// sector layer uses this for early-sleep accounting.
-	LastActive map[int]int
+	// received, or -1 if v was never active. The sector layer uses this
+	// for early-sleep accounting.
+	LastActive []int
 }
 
-func newStats() *Stats {
-	return &Stats{
-		TxCount:    make(map[int]int),
-		RxCount:    make(map[int]int),
-		LastActive: make(map[int]int),
+// Node returns node v's books: the packets it transmitted, the slots it
+// spent receiving, and its last active slot (-1 if it was never active).
+// A node no route names reads 0, 0, -1.
+func (st *Stats) Node(v int) (tx, rx, last int) {
+	if v < 0 || v >= len(st.TxCount) {
+		return 0, 0, -1
 	}
+	return st.TxCount[v], st.RxCount[v], st.LastActive[v]
+}
+
+// reset zeroes the counters and sizes the books for node ids below
+// nodes, keeping their storage.
+func (st *Stats) reset(nodes int) {
+	st.Slots, st.Retries = 0, 0
+	st.TxCount = filled(st.TxCount, nodes, 0)
+	st.RxCount = filled(st.RxCount, nodes, 0)
+	st.LastActive = filled(st.LastActive, nodes, -1)
+}
+
+// filled returns b resized to n with every entry set to x.
+func filled(b []int, n, x int) []int {
+	b = slices.Grow(b[:0], n)[:n]
+	for i := range b {
+		b[i] = x
+	}
+	return b
 }
 
 func (st *Stats) markTx(v, slot int) {
@@ -173,7 +196,7 @@ func (st *Stats) markRx(v, slot int) {
 }
 
 func (st *Stats) touch(v, slot int) {
-	if cur, ok := st.LastActive[v]; !ok || slot > cur {
+	if slot > st.LastActive[v] {
 		st.LastActive[v] = slot
 	}
 }

@@ -32,20 +32,23 @@ func Greedy(reqs []Request, opt Options) (*Schedule, *Stats, error) {
 		return nil, nil, err
 	}
 	gs.order = order
-	totalHops := 0
+	totalHops, nodes := 0, 0
 	for _, r := range reqs {
 		if err := r.Validate(); err != nil {
 			return nil, nil, err
 		}
 		totalHops += r.Hops()
+		for _, v := range r.Route {
+			nodes = max(nodes, v+1)
+		}
 	}
 	// A safety net for pathological loss rates: runs that exceed this
 	// many slots abort.
 	maxSlots := 64 * (totalHops + 1)
 	if opt.AllowDelay {
-		return greedyDelay(reqs, order, opt, maxSlots, totalHops)
+		return greedyDelay(reqs, order, opt, maxSlots, totalHops, nodes)
 	}
-	return greedyPipelined(gs, reqs, order, opt, maxSlots)
+	return greedyPipelined(gs, reqs, order, opt, maxSlots, totalHops, nodes)
 }
 
 func scanOrder(reqs []Request, order []int, buf []int) ([]int, error) {
@@ -80,9 +83,9 @@ type flight struct {
 	firstLoss int // hop index whose transmission is lost, or -1
 }
 
-func greedyPipelined(gs *GreedyScratch, reqs []Request, order []int, opt Options, maxSlots int) (*Schedule, *Stats, error) {
+func greedyPipelined(gs *GreedyScratch, reqs []Request, order []int, opt Options, maxSlots, totalHops, nodes int) (*Schedule, *Stats, error) {
 	m := opt.maxConcurrent()
-	sched, st := gs.reset(len(reqs))
+	sched, st, oracle := gs.reset(reqs, nodes, totalHops, opt.Oracle)
 	active := gs.bools(len(reqs))
 	remaining := len(reqs)
 	maxHops := 0
@@ -108,24 +111,18 @@ func greedyPipelined(gs *GreedyScratch, reqs []Request, order []int, opt Options
 			if !active[idx] {
 				continue
 			}
-			r := reqs[idx]
-			if !fits(sched, r, slot, m, opt.Oracle, &gs.group) {
+			r, links := reqs[idx], gs.reqLinks[idx]
+			if !fits(gs.slotLinks, links, slot, m, oracle, &gs.group) {
 				continue
 			}
-			// Commit every hop to its slot. Growing within capacity keeps
-			// the previous run's slot buckets (truncated) instead of
-			// overwriting their headers with nil — the scratch reuse.
-			for k := 0; k < r.Hops(); k++ {
+			// Commit every hop to its slot, the link beside the
+			// transmission.
+			for k, l := range links {
 				s := slot + k
-				for len(sched.Slots) <= s {
-					if n := len(sched.Slots); n < cap(sched.Slots) {
-						sched.Slots = sched.Slots[:n+1]
-						sched.Slots[n] = sched.Slots[n][:0]
-					} else {
-						sched.Slots = append(sched.Slots, nil)
-					}
-				}
+				sched.Slots = extend(sched.Slots, s)
+				gs.slotLinks = extend(gs.slotLinks, s)
 				sched.Slots[s] = append(sched.Slots[s], r.Tx(k))
+				gs.slotLinks[s] = append(gs.slotLinks[s], l)
 			}
 			f := flight{req: idx, start: slot, firstLoss: -1}
 			if opt.Loss != nil {
@@ -147,9 +144,8 @@ func greedyPipelined(gs *GreedyScratch, reqs []Request, order []int, opt Options
 				lastHop = f.firstLoss
 			}
 			for k := 0; k <= lastHop; k++ {
-				tx := r.Tx(k)
-				st.markTx(tx.From, slot+k)
-				st.markRx(tx.To, slot+k)
+				st.markTx(r.Route[k], slot+k)
+				st.markRx(r.Route[k+1], slot+k)
 			}
 		}
 		// End of slot: the head checks expected arrivals.
@@ -169,26 +165,26 @@ func greedyPipelined(gs *GreedyScratch, reqs []Request, order []int, opt Options
 	return sched, st, nil
 }
 
-// fits reports whether request r, started at slot, keeps every affected
-// slot's transmission group compatible and within the concurrency cap m
-// (m == 0 means uncapped). The candidate groups are assembled in the
+// fits reports whether a request whose hops are the links ls, started at
+// slot, keeps every affected slot's group compatible and within the
+// concurrency cap m (m == 0 means uncapped). slotLinks numbers the
+// schedule's slots. The candidate groups are assembled in the
 // caller-owned scratch buffer so the per-candidate check allocates
 // nothing.
-func fits(sched *Schedule, r Request, slot, m int, oracle radio.CompatibilityOracle, scratch *[]radio.Transmission) bool {
+func fits(slotLinks [][]radio.Link, ls []radio.Link, slot, m int, oracle linkOracle, scratch *[]radio.Link) bool {
 	group := (*scratch)[:0]
-	for k := 0; k < r.Hops(); k++ {
+	for k, l := range ls {
 		s := slot + k
-		var existing []radio.Transmission
-		if s < len(sched.Slots) {
-			existing = sched.Slots[s]
+		var existing []radio.Link
+		if s < len(slotLinks) {
+			existing = slotLinks[s]
 		}
 		if m > 0 && len(existing)+1 > m {
 			*scratch = group
 			return false
 		}
-		group = append(group[:0], existing...)
-		group = append(group, r.Tx(k))
-		if !oracle.Compatible(group) {
+		group = append(append(group[:0], existing...), l)
+		if !oracle.CompatibleLinks(group) {
 			*scratch = group
 			return false
 		}
@@ -200,14 +196,15 @@ func fits(sched *Schedule, r Request, slot, m int, oracle radio.CompatibilityOra
 // greedyDelay is the delay-allowed variant: every hop is scheduled
 // independently and a relay may hold a packet across slots. On loss the
 // failed hop is retried from the node that still holds the packet.
-func greedyDelay(reqs []Request, order []int, opt Options, maxSlots, totalHops int) (*Schedule, *Stats, error) {
+func greedyDelay(reqs []Request, order []int, opt Options, maxSlots, totalHops, nodes int) (*Schedule, *Stats, error) {
 	m := opt.maxConcurrent()
 	sched := &Schedule{
 		Slots:     make([][]radio.Transmission, 0, totalHops),
 		Start:     make(map[int]int, len(reqs)),
 		Completed: make(map[int]int, len(reqs)),
 	}
-	st := newStats()
+	st := new(Stats)
+	st.reset(nodes)
 
 	pos := make([]int, len(reqs)) // current holder index within the route
 	remaining := len(reqs)

@@ -332,16 +332,26 @@ func TestGreedyStatsAccounting(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("tx total = %d want 3", total)
 	}
-	// Head receives twice.
-	if st.RxCount[0] != 2 {
-		t.Fatalf("head rx = %d want 2", st.RxCount[0])
+	// The books cover node ids 0..3, the largest a route names.
+	if len(st.TxCount) != 4 || len(st.RxCount) != 4 || len(st.LastActive) != 4 {
+		t.Fatalf("books sized %d/%d/%d want 4", len(st.TxCount), len(st.RxCount), len(st.LastActive))
+	}
+	// Head receives twice and never transmits.
+	if tx, rx, _ := st.Node(0); tx != 0 || rx != 2 {
+		t.Fatalf("head tx, rx = %d, %d want 0, 2", tx, rx)
 	}
 	// S3 finishes in slot 0 and is inactive afterwards.
-	if st.LastActive[3] != 0 {
-		t.Fatalf("S3 last active = %d want 0", st.LastActive[3])
+	if _, _, last := st.Node(3); last != 0 {
+		t.Fatalf("S3 last active = %d want 0", last)
 	}
-	if st.LastActive[1] != 1 {
-		t.Fatalf("S1 last active = %d want 1", st.LastActive[1])
+	if _, _, last := st.Node(1); last != 1 {
+		t.Fatalf("S1 last active = %d want 1", last)
+	}
+	// A node no route names was never active, inside the books or not.
+	for _, v := range []int{-1, 4, 99} {
+		if tx, rx, last := st.Node(v); tx != 0 || rx != 0 || last != -1 {
+			t.Fatalf("node %d: %d, %d, %d want 0, 0, -1", v, tx, rx, last)
+		}
 	}
 }
 

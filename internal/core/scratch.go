@@ -3,12 +3,13 @@ package core
 import "repro/internal/radio"
 
 // GreedyScratch holds the reusable buffers of a pipelined Greedy run: the
-// schedule's slot list (inner slot buckets included), the result maps,
-// the stats maps, the activity flags, the arrival ring and the oracle
-// scratch group. Every Greedy call runs on one: a nil Options.Scratch is
-// replaced by a zero-value scratch private to that call. Pass one via
-// Options.Scratch to make repeated polling runs allocation-free in steady
-// state.
+// schedule's slot list with a link bucket beside each slot bucket, the
+// request hops' link ids, the result maps, the stats books, the activity
+// flags, the arrival ring, the oracle scratch group and the link
+// numbering for an oracle that keeps none. Every Greedy call runs on
+// one: a nil Options.Scratch is replaced by a zero-value scratch private
+// to that call. Pass one via Options.Scratch to make repeated polling
+// runs allocation-free in steady state.
 //
 // The Schedule and Stats returned by Greedy point into its scratch: they
 // are valid until the next Greedy call with the same scratch. Callers that
@@ -21,34 +22,63 @@ type GreedyScratch struct {
 	order    []int
 	active   []bool
 	arrivals [][]flight
-	group    []radio.Transmission
+	// hops holds every request's link ids back to back; reqLinks[i] is
+	// request i's share of it. slotLinks[s] numbers sched.Slots[s], entry
+	// for entry.
+	hops      []radio.Link
+	reqLinks  [][]radio.Link
+	slotLinks [][]radio.Link
+	group     []radio.Link
+	numbered  radio.Numbered
 }
 
-// reset re-arms the scratch for a run over len(reqs) requests and returns
-// the schedule and stats to fill, with maps cleared and every slice
-// truncated (backing arrays kept).
-func (gs *GreedyScratch) reset(nReqs int) (*Schedule, *Stats) {
+// linkOracle is how the pipelined poller asks: it numbers every hop once
+// per run, then asks about groups of numbered links.
+// radio.TestedOracle is one; any other oracle is asked through the
+// scratch's radio.Numbered.
+type linkOracle interface {
+	Link(radio.Transmission) radio.Link
+	CompatibleLinks([]radio.Link) bool
+}
+
+// reset re-arms the scratch for a run over reqs, whose routes name nodes
+// below nodes and hold totalHops hops, and returns the schedule and stats
+// to fill, with maps cleared, books sized and every slice truncated
+// (backing arrays kept). It numbers every request's hops through the
+// oracle, wrapping one that keeps no numbering.
+func (gs *GreedyScratch) reset(reqs []Request, nodes, totalHops int, oracle radio.CompatibilityOracle) (*Schedule, *Stats, linkOracle) {
 	sched := &gs.sched
 	sched.Slots = sched.Slots[:0]
+	gs.slotLinks = gs.slotLinks[:0]
 	if sched.Start == nil {
-		sched.Start = make(map[int]int, nReqs)
-		sched.Completed = make(map[int]int, nReqs)
+		sched.Start = make(map[int]int, len(reqs))
+		sched.Completed = make(map[int]int, len(reqs))
 	} else {
 		clear(sched.Start)
 		clear(sched.Completed)
 	}
-	st := &gs.stats
-	if st.TxCount == nil {
-		st.TxCount = make(map[int]int)
-		st.RxCount = make(map[int]int)
-		st.LastActive = make(map[int]int)
-	} else {
-		clear(st.TxCount)
-		clear(st.RxCount)
-		clear(st.LastActive)
+	gs.stats.reset(nodes)
+
+	lo, ok := oracle.(linkOracle)
+	if !ok {
+		gs.numbered.Reset(oracle)
+		lo = &gs.numbered
 	}
-	st.Slots, st.Retries = 0, 0
-	return sched, st
+	// Sized up front, so the per-request subslices stay valid.
+	if cap(gs.hops) < totalHops {
+		gs.hops = make([]radio.Link, 0, totalHops)
+	}
+	hops := gs.hops[:0]
+	gs.reqLinks = gs.reqLinks[:0]
+	for _, r := range reqs {
+		start := len(hops)
+		for k := 0; k < r.Hops(); k++ {
+			hops = append(hops, lo.Link(r.Tx(k)))
+		}
+		gs.reqLinks = append(gs.reqLinks, hops[start:])
+	}
+	gs.hops = hops
+	return sched, &gs.stats, lo
 }
 
 // bools returns gs.active resized to n; contents are unspecified and the
@@ -74,4 +104,19 @@ func (gs *GreedyScratch) ring(n int) [][]flight {
 		gs.arrivals[i] = gs.arrivals[i][:0]
 	}
 	return gs.arrivals
+}
+
+// extend returns b with at least s+1 buckets. A bucket added within
+// capacity keeps the previous run's storage, emptied, instead of having
+// its header overwritten with nil — the scratch reuse.
+func extend[T any](b [][]T, s int) [][]T {
+	for len(b) <= s {
+		if n := len(b); n < cap(b) {
+			b = b[:n+1]
+			b[n] = b[n][:0]
+		} else {
+			b = append(b, nil)
+		}
+	}
+	return b
 }

@@ -91,3 +91,61 @@ func TestGreedyScratchEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyTestedOracleMatchesBareTruth: the poller asks a TestedOracle
+// in its own link numbers and any other oracle through the scratch's
+// wrapper. On random instances, with and without loss, both must give
+// the identical Schedule and Stats for every M.
+func TestGreedyTestedOracleMatchesBareTruth(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var kept GreedyScratch
+	for trial := 0; trial < 40; trial++ {
+		reqs, truth := randomPollingRun(rng, 2+rng.Intn(12))
+		if len(reqs) == 0 {
+			continue
+		}
+		var loss LossFn
+		if trial%2 == 1 {
+			loss = RandomLoss(int64(trial), 0.1)
+		}
+		m := 1 + trial%radio.MaxM
+		bare, bareStats, err := Greedy(reqs, Options{Oracle: truth, MaxConcurrent: m, Loss: loss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tested := radio.NewTestedOracle(truth, m)
+		for pass := 0; pass < 2; pass++ { // cold, then every verdict known
+			got, gotStats, err := Greedy(reqs, Options{Oracle: tested, Loss: loss, Scratch: &kept})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, bare) {
+				t.Fatalf("trial %d pass %d M=%d: schedules diverge:\n%v\nvs bare\n%v", trial, pass, m, got, bare)
+			}
+			if !reflect.DeepEqual(gotStats, bareStats) {
+				t.Fatalf("trial %d pass %d M=%d: stats diverge:\n%+v\nvs bare\n%+v", trial, pass, m, gotStats, bareStats)
+			}
+		}
+	}
+}
+
+// TestGreedyKeptScratchAllocatesNothing: a pipelined run on a kept
+// scratch whose oracle already knows every group it will ask about
+// allocates nothing, with and without loss.
+func TestGreedyKeptScratchAllocatesNothing(t *testing.T) {
+	reqs, truth := randomPollingRun(rand.New(rand.NewSource(47)), 14)
+	for _, loss := range []LossFn{nil, RandomLoss(3, 0.1)} {
+		var gs GreedyScratch
+		opt := Options{Oracle: radio.NewTestedOracle(truth, 3), Loss: loss, Scratch: &gs}
+		if _, _, err := Greedy(reqs, opt); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := Greedy(reqs, opt); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("kept-scratch Greedy (loss %v) allocates %.1f times per run", loss != nil, allocs)
+		}
+	}
+}
